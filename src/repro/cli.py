@@ -1,8 +1,5 @@
-"""``repro-experiment``: deprecated alias for ``repro figure``.
-
-The figure-regeneration machinery lives here (the unified ``repro`` CLI
-mounts it as its ``figure`` subcommand); only the ``repro-experiment``
-entry point itself is deprecated.
+"""The figure-regeneration command of the ``repro`` CLI
+(``repro.main`` mounts it as ``repro figure``).
 
 Examples
 --------
@@ -13,20 +10,14 @@ Examples
     repro figure run fig3 --scale standard --workers 4 --cache .repro-cache
     repro figure run fig7 --scale standard --out results/
     repro figure run all --scale quick --out results/
-
-``repro-experiment ...`` still accepts the same arguments (including the
-historical ``repro-experiment fig3 ...`` spelling without the ``run``
-subcommand) and emits a ``DeprecationWarning``.
 """
 
 from __future__ import annotations
 
 import argparse
 import inspect
-import signal
 import sys
 import time
-import warnings
 from pathlib import Path
 
 from .experiments import EXPERIMENTS, SCALES, run_experiment
@@ -64,7 +55,7 @@ def print_figure_list() -> None:
 
 
 def configure_figure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the figure subcommands (shared by old and new CLIs)."""
+    """Attach the ``repro figure`` subcommands."""
     sub = parser.add_subparsers(dest="figure_command", required=True)
     sub.add_parser("list", help="list experiment ids and available scales")
     run_p = sub.add_parser("run", help="run one experiment, or 'all'")
@@ -131,39 +122,3 @@ def run_figure_command(args) -> int:
             print(result.render())
             print(f"[{eid} completed in {elapsed:.1f}s]")
     return 0
-
-
-def normalize_figure_argv(argv: list[str]) -> list[str]:
-    """Back-compat: ``fig3 --scale quick`` == ``run fig3 --scale quick``."""
-    if argv and argv[0] not in {"list", "run", "-h", "--help"}:
-        return ["run", *argv]
-    return argv
-
-
-def main(argv=None) -> int:
-    """The deprecated ``repro-experiment`` entry point."""
-    warnings.warn(
-        "the 'repro-experiment' entry point is deprecated; use "
-        "'repro figure' (see 'repro --help')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Behave well in shell pipelines (`repro-experiment list | head`).
-    if hasattr(signal, "SIGPIPE"):
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = argparse.ArgumentParser(
-        prog="repro-experiment",
-        description=(
-            "[deprecated: use 'repro figure'] Reproduce figures from "
-            "'Optimal Reissue Policies for Reducing Tail Latency' "
-            "(SPAA 2017)."
-        ),
-    )
-    configure_figure_parser(parser)
-    args = parser.parse_args(normalize_figure_argv(argv))
-    return run_figure_command(args)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

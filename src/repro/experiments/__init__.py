@@ -7,7 +7,7 @@ figure as a declarative cell DAG — see :mod:`repro.pipeline`) and
 the corresponding paper figure as an ASCII chart plus CSV rows. Serial,
 process-parallel, and cache-replayed runs are bit-for-bit identical.
 The registry maps experiment ids (``fig2`` … ``fig9``) to drivers; the
-``repro-experiment`` CLI and the benchmark harness both dispatch
+``repro figure`` CLI and the benchmark harness both dispatch
 through it.
 
 Scales

@@ -19,14 +19,11 @@ runtime — driven by the declarative Scenario API:
     repro bench                          # perf suite + regression gate
     repro store pack trace.csv trace.store --sort   # out-of-core trace store
     repro store info trace.store
-    repro figure list                    # paper figures (was repro-experiment)
+    repro figure list                    # paper figures
     repro figure run fig3 --scale quick
-    repro serve --backend drifting --policy auto   (was repro-serve)
+    repro serve --backend drifting --policy auto
     repro loadgen --shards 2 --rps 20000  # sharded fleet under open-loop load
     repro loadgen --procs 2 --rps 20000   # worker processes over sockets
-
-``repro-experiment`` and ``repro-serve`` remain as deprecated aliases of
-``repro figure`` and ``repro serve``.
 """
 
 from __future__ import annotations
@@ -38,11 +35,7 @@ import sys
 import time
 from pathlib import Path
 
-from .cli import (
-    configure_figure_parser,
-    normalize_figure_argv,
-    run_figure_command,
-)
+from .cli import configure_figure_parser, run_figure_command
 from .serving.cli import (
     LOADGEN_DESCRIPTION,
     SERVE_DESCRIPTION,
@@ -678,14 +671,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     configure_store_parser(store_p)
 
-    fig_p = sub.add_parser(
-        "figure", help="regenerate paper figures (was repro-experiment)"
-    )
+    fig_p = sub.add_parser("figure", help="regenerate paper figures")
     configure_figure_parser(fig_p)
 
     serve_p = sub.add_parser(
         "serve",
-        help="serve a live request stream (was repro-serve)",
+        help="serve a live request stream",
         description=SERVE_DESCRIPTION,
     )
     configure_serve_parser(serve_p)
@@ -705,10 +696,6 @@ def main(argv=None) -> int:
     # Behave well in shell pipelines (`repro scenarios list | head`).
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # `repro figure fig3 ...` keeps working like the old bare spelling.
-    if argv and argv[0] == "figure":
-        argv = ["figure", *normalize_figure_argv(argv[1:])]
     args = build_parser().parse_args(argv)
 
     if args.command == "run":

@@ -29,7 +29,7 @@ DEFAULT_MEASURE = ("tails", "reissue_rate")
 #: through explicit rng arguments), so reuse across cells is safe — it
 #: mirrors the old drivers constructing one system per sweep. The
 #: executor clears it after each pipeline run so a long session (e.g.
-#: ``repro-experiment run all``) doesn't pin every figure's corpora.
+#: ``repro figure run all``) doesn't pin every figure's corpora.
 _SYSTEM_MEMO: dict[str, Any] = {}
 
 

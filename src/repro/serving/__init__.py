@@ -13,28 +13,29 @@ pluggable asynchronous backends:
 * :mod:`~repro.serving.hedge` — :class:`HedgedClient`, the concurrent
   request path: primary dispatch, policy-armed reissue timers,
   first-response-wins cancellation, deadlines and admission control.
-* :mod:`~repro.serving.metrics` — streaming telemetry on the t-digest and
-  P² sketches (live p50/p99/p99.9, reissue rate, cancellation wins).
+* :mod:`~repro.serving.metrics` — streaming telemetry on the t-digest
+  sketch (live p50/p99/p99.9, reissue rate, cancellation wins).
 * :mod:`~repro.serving.autotune` — feeds observed samples back into
   :class:`repro.core.online.OnlinePolicyController` so the running policy
   re-fits under drift.
-* :mod:`~repro.serving.fleet` — :class:`ServingFleet`: N shard workers
-  (each a :class:`HedgedClient`) behind a front-door router with
-  pluggable shard selection, per-shard admission control (load
-  shedding), and a shared :class:`PolicyStore` that propagates
-  :class:`AutoTuner` refits fleet-wide.
-* :mod:`~repro.serving.procfleet` — :class:`ProcessFleet`: the same
-  front-door contract over real worker *processes* (one event loop per
-  core, length-prefixed frames on Unix/TCP sockets) with the
-  :class:`PolicyStore` served cross-process by
-  :class:`PolicyStoreServer` / :class:`RemotePolicyStore`.
+* :mod:`~repro.serving.fleet` — :class:`ServingFleet`, the one front
+  door: pluggable selection over live :class:`Shard` s, shed/error
+  accounting, merged telemetry, and a shared :class:`PolicyStore` that
+  propagates :class:`AutoTuner` refits fleet-wide. :class:`ShardWorker`
+  is the in-loop shard (a :class:`HedgedClient` + admission control).
+* :mod:`~repro.serving.procfleet` — the socket shard
+  (:class:`WorkerHandle`: a worker *process* with its own event loop
+  behind JSON frames on a Unix/TCP socket), the cross-process
+  :class:`PolicyStoreServer` / :class:`RemotePolicyStore`, and
+  :class:`ProcessFleet`, which spawns the workers for that front door.
 * :mod:`~repro.serving.loadgen` — closed- vs open-loop
   :class:`LoadGenerator` driving a fleet at a target RPS, plus the
   committed ``BENCH_serving.json`` record schema.
 * :mod:`~repro.serving.chaos` — :class:`ChaosBackend` fault injection
   (latency spikes, error bursts, blackouts, clock skew) for hardening
   tests and degradation demos.
-* :mod:`~repro.serving.cli` — the ``repro-serve`` console entry point.
+* :mod:`~repro.serving.cli` — the ``repro serve`` / ``repro loadgen``
+  commands.
 """
 
 from .autotune import AutoTuner
@@ -53,6 +54,7 @@ from .fleet import (
     SHARD_SELECTORS,
     PolicyStore,
     ServingFleet,
+    Shard,
     ShardWorker,
     make_selector,
 )
@@ -88,6 +90,7 @@ __all__ = [
     "SearchBackend",
     "ServingFleet",
     "ServingMetrics",
+    "Shard",
     "ShardWorker",
     "SimulatedBackend",
     "SyntheticBackend",

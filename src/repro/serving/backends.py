@@ -9,7 +9,7 @@ model ms) or compressed for tests (``time_scale=5e-5``).
 
 All simulated backends keep live counters (``started`` / ``completed`` /
 ``cancelled`` / ``in_flight`` / ``peak_in_flight``) so tests and the
-``repro-serve`` CLI can assert cancellation and admission-control
+``repro serve`` CLI can assert cancellation and admission-control
 behavior without instrumenting the event loop.
 """
 

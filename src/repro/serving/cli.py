@@ -1,8 +1,6 @@
-"""``repro-serve``: deprecated alias for ``repro serve``.
-
-The hedging-runtime CLI machinery lives here (the unified ``repro`` CLI
-mounts it as its ``serve`` subcommand); only the ``repro-serve`` entry
-point itself is deprecated.
+"""The hedging-runtime commands of the ``repro`` CLI: ``repro serve``
+(one hedged client against a live stream) and ``repro loadgen`` (a load
+generator against a serving fleet). ``repro.main`` mounts both.
 
 Examples
 --------
@@ -20,7 +18,6 @@ import argparse
 import asyncio
 import signal
 import sys
-import warnings
 
 import numpy as np
 
@@ -114,7 +111,7 @@ SERVE_DESCRIPTION = (
 
 
 def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the serve arguments (shared by old and new CLIs)."""
+    """Attach the ``repro serve`` arguments."""
     parser.add_argument("--backend", choices=BACKENDS, default="drifting")
     parser.add_argument("--policy", choices=POLICIES, default="auto")
     parser.add_argument("--requests", type=int, default=4_000)
@@ -160,17 +157,8 @@ def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-serve",
-        description=f"[deprecated: use 'repro serve'] {SERVE_DESCRIPTION}",
-    )
-    configure_serve_parser(parser)
-    return parser
-
-
 def run_serve_command(args) -> int:
-    """Execute a parsed serve command (shared by old and new CLIs)."""
+    """Execute a parsed serve command."""
     if args.requests < 1:
         print("--requests must be >= 1", file=sys.stderr)
         return 2
@@ -473,9 +461,6 @@ def run_loadgen_command(args) -> int:
         "batch_size": args.batch_size,
         "refit_interval": args.refit_interval,
     }
-    tuner = None
-    if args.autotune and args.procs is None:
-        tuner = AutoTuner(**autotune_kwargs)
     chaos_seq, gen_seq = np.random.SeedSequence(
         (args.seed, 0xC4A05)
     ).spawn(2)
@@ -492,62 +477,59 @@ def run_loadgen_command(args) -> int:
             return wrapped
         return backend
 
-    transport = args.transport or "unix"
-    n_workers = args.procs if args.procs is not None else args.shards
-    fleet = None
+    fleet_kwargs = {
+        "policy": scenario.build_policy(),
+        "selector": args.select,
+        "admission_limit": args.admission_limit,
+        "concurrency": args.concurrency,
+        "deadline_ms": args.deadline_ms,
+        "probe_fraction": args.probe_fraction,
+        "seed": args.seed,
+    }
     try:
         if args.procs is not None:
+            # `repro` restores the default SIGPIPE action for shell
+            # pipelines; a write to a killed worker's socket must fail
+            # with BrokenPipeError (and be shed), not kill the front door.
+            if hasattr(signal, "SIGPIPE"):
+                signal.signal(signal.SIGPIPE, signal.SIG_IGN)
             # Worker processes rebuild their backends from the shipped
             # scenario dict — the tuner (if any) is likewise built
-            # inside the tuned worker, never pickled across.
+            # inside the tuned worker, never sent across.
             fleet = ProcessFleet(
                 args.procs,
                 scenario,
-                policy=scenario.build_policy(),
-                selector=args.select,
-                admission_limit=args.admission_limit,
-                concurrency=args.concurrency,
-                deadline_ms=args.deadline_ms,
-                probe_fraction=args.probe_fraction,
                 autotune=autotune_kwargs if args.autotune else None,
                 time_scale=args.time_scale,
-                transport=transport,
-                seed=args.seed,
+                transport=args.transport or "unix",
+                **fleet_kwargs,
             )
         else:
             fleet = ServingFleet.build(
                 args.shards,
                 backend_factory,
-                policy=scenario.build_policy(),
-                selector=args.select,
-                admission_limit=args.admission_limit,
-                concurrency=args.concurrency,
-                deadline_ms=args.deadline_ms,
-                probe_fraction=args.probe_fraction,
-                tuner=tuner,
-                seed=args.seed,
+                tuner=AutoTuner(**autotune_kwargs) if args.autotune else None,
+                **fleet_kwargs,
             )
         generator = LoadGenerator(fleet, rng=np.random.default_rng(gen_seq))
         n_requests = args.requests or scenario.scale.n_queries or 2_000
         target_rps = None
         if args.mode == "open":
             target_rps = 20_000.0 if args.rps is None else args.rps
-        result = generator.run(
-            n_requests,
-            mode=args.mode,
-            arrival=args.arrival,
-            target_rps=target_rps,
-            concurrency=args.users if args.users is not None else 8,
-        )
+        with fleet:
+            result = generator.run(
+                n_requests,
+                mode=args.mode,
+                arrival=args.arrival,
+                target_rps=target_rps,
+                concurrency=args.users if args.users is not None else 8,
+            )
     except (TypeError, ValueError, RuntimeError, TimeoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if args.procs is not None and fleet is not None:
-            fleet.close()
 
     config = {
-        "shards": n_workers,
+        "shards": result.shards,
         "procs": args.procs,
         "transport": result.transport,
         "select": args.select,
@@ -570,15 +552,8 @@ def run_loadgen_command(args) -> int:
         print(json.dumps(record, indent=2, default=float))
     else:
         print(result.render())
-        if tuner is not None:
-            print(
-                f"  policy refits        {tuner.n_refits:>10d}"
-                f"  (store v{fleet.store.version})"
-            )
-        elif args.autotune and args.procs is not None:
-            n_refits = sum(
-                w.get("refits") or 0 for w in result.per_shard
-            )
+        if args.autotune:
+            n_refits = sum(shard["refits"] for shard in result.per_shard)
             print(
                 f"  policy refits        {n_refits:>10d}"
                 f"  (store v{result.policy_version})"
@@ -605,20 +580,3 @@ def run_loadgen_command(args) -> int:
             return 2
         print(f"wrote {args.out}")
     return 0
-
-
-def main(argv=None) -> int:
-    """The deprecated ``repro-serve`` entry point."""
-    warnings.warn(
-        "the 'repro-serve' entry point is deprecated; use 'repro serve' "
-        "(see 'repro --help')",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if hasattr(signal, "SIGPIPE"):
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    return run_serve_command(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""A sharded serving fleet: N hedging shards behind one front door.
+"""The serving fleet: one front door over N hedging shards.
 
 One :class:`~repro.serving.hedge.HedgedClient` executes the paper's
 reissue policies on one event loop. Real deployments of the hedging idea
@@ -12,29 +12,31 @@ that shape:
   publishes here; every other shard adopts the new ``SingleR`` before
   its next request, so a refit propagates fleet-wide without any shard
   talking to another.
-* :class:`ShardWorker` — one shard: a ``HedgedClient`` plus per-shard
-  admission control (when ``admission_limit`` concurrent requests are
-  already active the shard *sheds* the request instead of queueing it —
-  an overloaded hedging tier that queues reissues behind primaries
-  collapses; one that sheds degrades) and the policy-sync hooks.
-* :class:`ServingFleet` — the front door: pluggable shard selection
-  (``hash`` / ``round-robin`` / ``least-loaded`` via the
-  :data:`SHARD_SELECTORS` registry), fault containment (a request whose
-  every attempt errored is counted, not propagated), and fleet-wide
-  telemetry through :meth:`~repro.serving.metrics.ServingMetrics.merge`.
-
-The fleet is task-based: every shard lives on the calling event loop,
-which keeps runs deterministic under seeded RNGs while preserving real
-concurrency semantics (timers, cancellation, admission) per shard. The
-``AsyncBackend`` behind each shard is where process/network distribution
-would plug in.
+* :class:`Shard` — the small surface the front door needs of one shard,
+  whatever carries the request to it: :class:`ShardWorker` (in-loop) or
+  :class:`~repro.serving.procfleet.WorkerHandle` (a worker process
+  behind a socket, which itself runs a ``ShardWorker``).
+* :class:`ShardWorker` — the in-loop shard: a ``HedgedClient`` plus
+  per-shard admission control (when ``admission_limit`` concurrent
+  requests are already active the shard *sheds* the request instead of
+  queueing it — an overloaded hedging tier that queues reissues behind
+  primaries collapses; one that sheds degrades) and the policy-sync
+  hooks.
+* :class:`ServingFleet` — the only front door: pluggable selection over
+  the *live* shards (``hash`` / ``round-robin`` / ``least-loaded`` via
+  the :data:`SHARD_SELECTORS` registry), the request/shed/error
+  accounting, and fleet-wide telemetry through
+  :meth:`~repro.serving.metrics.ServingMetrics.merge` — of metrics each
+  shard records where the front door observes the outcome, so a dead
+  worker is accounted like a live one and no sketch crosses a socket.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 import zlib
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -159,8 +161,41 @@ def make_selector(name: str):
 # ---------------------------------------------------------------------------
 
 
+class Shard(Protocol):
+    """What the front door needs of one shard.
+
+    ``issued == completed + shed + errors`` holds on every shard once
+    its requests have returned — the identity ``validate_record`` checks.
+    """
+
+    shard_id: int
+    #: Wall seconds per model millisecond of the shard's backend.
+    time_scale: float
+    #: Routable. A shard that stops being alive never becomes so again.
+    alive: bool
+    #: Outcomes as the front door observed them.
+    metrics: ServingMetrics
+    #: Requests currently on this shard (the routing signal).
+    load: int
+    issued: int
+    completed: int
+    shed: int
+    errors: int
+
+    async def submit(self, query_id: int) -> RequestOutcome | None:
+        """Serve one request. Never raises: ``None`` means it was shed
+        or failed, and the shard's counters say which."""
+
+    def detail(self) -> dict:
+        """Shard-side facts for ``stats()``: ``peak_active``, ``pid``,
+        ``refits``, ``store_version``, ``policy_spec``."""
+
+    def close(self) -> None:
+        """Release what the shard owns (idempotent)."""
+
+
 class ShardWorker:
-    """One fleet shard: a ``HedgedClient`` + admission + policy sync.
+    """The in-loop shard: a ``HedgedClient`` + admission + policy sync.
 
     Admission control here is *load shedding*: when ``admission_limit``
     requests are already active on this shard, a new one is rejected
@@ -169,6 +204,8 @@ class ShardWorker:
     requests never wait behind a backlog) and memory; the fleet-level
     counters make the rejected traffic visible instead of silent.
     """
+
+    alive = True
 
     def __init__(
         self,
@@ -185,25 +222,25 @@ class ShardWorker:
         self.admission_limit = (
             None if admission_limit is None else int(admission_limit)
         )
-        self.active = 0
+        self.load = 0
         self.peak_active = 0
-        self.accepted = 0
+        self.issued = 0
         self.shed = 0
         self.errors = 0
         self._seen_version = 0
         self._published_refits = 0
 
     @property
-    def load(self) -> int:
-        """Requests currently admitted to this shard (routing signal)."""
-        return self.active
+    def metrics(self) -> ServingMetrics:
+        return self.client.metrics
 
     @property
-    def saturated(self) -> bool:
-        return (
-            self.admission_limit is not None
-            and self.active >= self.admission_limit
-        )
+    def completed(self) -> int:
+        return self.client.metrics.completed
+
+    @property
+    def time_scale(self) -> float:
+        return self.client.backend.time_scale
 
     def sync_policy(self) -> None:
         """Reconcile this shard with the fleet's :class:`PolicyStore`.
@@ -229,45 +266,52 @@ class ShardWorker:
             self._seen_version = version
 
     async def serve_one(self, query_id: int) -> RequestOutcome | None:
-        """Admit and serve one request, or shed it (returns ``None``)."""
+        """Admit and serve one request, or shed it (returns ``None``).
+
+        A request whose every attempt errored is counted here and the
+        error re-raised, for a caller that reports it (the worker
+        process does, over the wire); :meth:`submit` is the contained
+        form.
+        """
         self.sync_policy()
-        if self.saturated:
+        self.issued += 1
+        if self.admission_limit is not None and self.load >= self.admission_limit:
             self.shed += 1
             return None
-        self.active += 1
-        self.peak_active = max(self.peak_active, self.active)
-        self.accepted += 1
+        self.load += 1
+        self.peak_active = max(self.peak_active, self.load)
         try:
             outcome = await self.client.request(query_id)
+        except Exception:
+            self.errors += 1
+            raise
         finally:
-            self.active -= 1
+            self.load -= 1
         # A refit may have landed during this request; publish promptly
         # so sibling shards adopt before their next arrival.
         self.sync_policy()
         return outcome
 
-    def stats(self) -> dict:
-        """Per-shard accounting for reports and BENCH records."""
-        snap = self.client.metrics.snapshot()
+    async def submit(self, query_id: int) -> RequestOutcome | None:
+        try:
+            return await self.serve_one(query_id)
+        except Exception:
+            # Counted by serve_one: a failing backend must degrade the
+            # fleet, not crash its caller.
+            return None
+
+    def detail(self) -> dict:
+        tuner = self.client.tuner
         return {
-            "shard": self.shard_id,
-            # Every request routed here was either admitted or shed, so
-            # per-shard ``issued == completed + shed + errors`` holds —
-            # the identity validate_record checks on every worker.
-            "issued": self.accepted + self.shed,
-            "accepted": self.accepted,
-            "completed": snap.completed,
-            "shed": self.shed,
-            "errors": self.errors,
             "peak_active": self.peak_active,
-            "reissue_rate": round(snap.reissue_rate, 4),
-            "deadline_misses": snap.deadline_exceeded,
-            "p99_ms": (
-                round(self.client.metrics.quantile(0.99), 3)
-                if snap.completed
-                else None
-            ),
+            "pid": os.getpid(),
+            "refits": 0 if tuner is None else tuner.n_refits,
+            "store_version": self.store.version,
+            "policy_spec": self.client.policy.to_spec(),
         }
+
+    def close(self) -> None:
+        """Nothing to release: client and tuner are the caller's."""
 
 
 # ---------------------------------------------------------------------------
@@ -276,14 +320,16 @@ class ShardWorker:
 
 
 class ServingFleet:
-    """N shard workers behind a pluggable front-door router.
+    """N shards behind a pluggable front-door router.
 
     Parameters
     ----------
-    clients:
-        One :class:`HedgedClient` per shard (each with its own backend,
-        metrics, and RNG stream). At most one should carry a tuner; its
-        refits are what the :class:`PolicyStore` propagates.
+    shards:
+        One :class:`Shard` per entry. A bare :class:`HedgedClient`
+        (each with its own backend, metrics, and RNG stream) is wrapped
+        in an in-loop :class:`ShardWorker`. At most one client should
+        carry a tuner; its refits are what the :class:`PolicyStore`
+        propagates.
     selector:
         A :data:`SHARD_SELECTORS` name (``"hash"`` / ``"round-robin"`` /
         ``"least-loaded"``) or any object with
@@ -292,20 +338,23 @@ class ServingFleet:
         The shared :class:`PolicyStore` (default: a fresh one; seed it
         with the fleet's starting policy to pin all shards immediately).
     admission_limit:
-        Per-shard active-request cap above which arrivals are shed
-        (default: never shed).
+        Active-request cap of each wrapped client's shard, above which
+        arrivals are shed (default: never shed).
     """
+
+    #: The shards share the caller's loop (else: the socket transport).
+    transport = "loop"
 
     def __init__(
         self,
-        clients: Sequence[HedgedClient],
+        shards: Sequence[Shard | HedgedClient],
         *,
         selector="round-robin",
         store: PolicyStore | None = None,
         admission_limit: int | None = None,
     ):
-        clients = list(clients)
-        if not clients:
+        shards = list(shards)
+        if not shards:
             raise ValueError("a fleet needs at least one shard client")
         self.store = store if store is not None else PolicyStore()
         if isinstance(selector, str):
@@ -314,12 +363,15 @@ class ServingFleet:
         else:
             self.selector_name = type(selector).__name__
             self.selector = selector
-        self.shards = [
-            ShardWorker(i, client, self.store, admission_limit)
-            for i, client in enumerate(clients)
+        self.shards: list[Shard] = [
+            ShardWorker(i, shard, self.store, admission_limit)
+            if isinstance(shard, HedgedClient)
+            else shard
+            for i, shard in enumerate(shards)
         ]
         self.requests = 0
-        self.errors = 0
+        #: Arrivals shed at the door because no shard was alive.
+        self.shed_unrouted = 0
 
     @classmethod
     def build(
@@ -383,69 +435,105 @@ class ServingFleet:
     @property
     def time_scale(self) -> float:
         """The fleet's wall-per-model-ms factor (shard 0's backend)."""
-        return self.shards[0].client.backend.time_scale
+        return self.shards[0].time_scale
 
     @property
     def shed_total(self) -> int:
-        return sum(s.shed for s in self.shards)
+        return self.shed_unrouted + sum(s.shed for s in self.shards)
 
     @property
-    def completed_total(self) -> int:
-        return sum(s.client.metrics.completed for s in self.shards)
+    def errors(self) -> int:
+        return sum(s.errors for s in self.shards)
 
     # -- the front door ------------------------------------------------------
     async def request(self, query_id: int, key=None) -> RequestOutcome | None:
-        """Route and serve one request.
+        """Route one request to a live shard and serve it.
 
-        Returns ``None`` when the selected shard shed the request or
-        every attempt of it errored (the error is contained here and
-        counted on the shard and the fleet — a failing backend must
-        degrade the fleet, not crash its caller).
+        Returns ``None`` when it was shed (admission, no live shard, or
+        a worker died with it in flight) or every attempt of it errored
+        — shard failure is counted, never raised to the caller.
         """
         self.requests += 1
-        index = self.selector.select(self.shards, query_id, key)
-        shard = self.shards[index]
+        live = self.shards
+        for shard in live:
+            if not shard.alive:
+                live = [s for s in live if s.alive]
+                if not live:
+                    self.shed_unrouted += 1
+                    return None
+                break
+        shard = live[self.selector.select(live, query_id, key)]
         tracer = get_tracer()
         if not tracer.enabled:
-            return await self._serve_on(shard, query_id)
+            return await shard.submit(query_id)
         with tracer.span(
-            "fleet.request", query_id=query_id, shard=shard.shard_id
+            "fleet.request",
+            query_id=query_id,
+            shard=shard.shard_id,
+            transport=self.transport,
         ) as span:
-            outcome = await self._serve_on(shard, query_id)
-            span.attrs["shed"] = outcome is None and shard.saturated
+            outcome = await shard.submit(query_id)
             span.attrs["ok"] = outcome is not None
             return outcome
-
-    async def _serve_on(self, shard, query_id):
-        try:
-            return await shard.serve_one(query_id)
-        except Exception:
-            shard.errors += 1
-            self.errors += 1
-            return None
 
     # -- fleet-wide telemetry ------------------------------------------------
     def metrics(self) -> ServingMetrics:
         """Merged cross-shard telemetry (counters exact, digest within
         the documented sketch tolerance). Always a fresh object — the
         live per-shard metrics are never mutated."""
-        merged = self.shards[0].client.metrics.merge(ServingMetrics())
-        for shard in self.shards[1:]:
-            merged = merged.merge(shard.client.metrics)
+        merged = ServingMetrics()
+        for shard in self.shards:
+            merged = merged.merge(shard.metrics)
         return merged
-
-    def snapshot(self):
-        return self.metrics().snapshot()
 
     def stats(self) -> dict:
         """The fleet's accounting: totals plus per-shard breakdown."""
+        per_shard = []
+        for shard in self.shards:
+            # detail() first: asking a worker process that has died is
+            # what flips its ``alive``.
+            detail = shard.detail()
+            metrics = shard.metrics
+            per_shard.append(
+                {
+                    "shard": shard.shard_id,
+                    "issued": shard.issued,
+                    "accepted": shard.issued - shard.shed,
+                    "completed": shard.completed,
+                    "shed": shard.shed,
+                    "errors": shard.errors,
+                    "alive": shard.alive,
+                    "reissue_rate": round(metrics.reissue_rate, 4),
+                    "deadline_misses": metrics.deadline_exceeded,
+                    "p99_ms": (
+                        round(metrics.quantile(0.99), 3)
+                        if metrics.completed
+                        else None
+                    ),
+                    **detail,
+                }
+            )
         return {
             "shards": self.n_shards,
             "selector": self.selector_name,
+            "transport": self.transport,
             "requests": self.requests,
-            "completed": self.completed_total,
+            "completed": sum(s.completed for s in self.shards),
             "shed": self.shed_total,
+            "shed_unrouted": self.shed_unrouted,
             "errors": self.errors,
             "policy_version": self.store.version,
-            "per_shard": [s.stats() for s in self.shards],
+            "per_shard": per_shard,
         }
+
+    # -- lifecycle -----------------------------------------------------------
+    def close(self) -> None:
+        """Close every shard (idempotent)."""
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()

@@ -48,9 +48,9 @@ MODES = ("open", "closed")
 RECORD_VERSION = 2
 RECORD_KIND = "serving-loadgen"
 
-#: ``results.transport`` values: ``"loop"`` is the single-process
-#: ``ServingFleet`` (shards share one event loop); ``"unix"``/``"tcp"``
-#: are the socket transports of the multi-process ``ProcessFleet``.
+#: ``results.transport`` values: ``"loop"`` is a fleet of in-loop shards
+#: (they share one event loop); ``"unix"``/``"tcp"`` are the socket
+#: transports of a fleet of worker processes (``ProcessFleet``).
 RECORD_TRANSPORTS = ("loop", "unix", "tcp")
 
 #: Quantiles every loadgen report carries (model milliseconds).
@@ -78,8 +78,8 @@ class LoadgenResult:
     shards: int
     selector: str
     per_shard: list = field(default_factory=list)
-    #: ``"loop"`` (in-process ServingFleet) or a ProcessFleet socket
-    #: transport (``"unix"`` / ``"tcp"``).
+    #: ``"loop"`` (in-loop shards) or a ProcessFleet socket transport
+    #: (``"unix"`` / ``"tcp"``).
     transport: str = "loop"
 
     def render(self) -> str:
@@ -125,10 +125,9 @@ class LoadgenResult:
 class LoadGenerator:
     """Drive a freshly built fleet at a target load.
 
-    Accepts anything with the :class:`ServingFleet` front-door surface —
-    the in-loop fleet itself or a
-    :class:`~repro.serving.procfleet.ProcessFleet` driving worker
-    processes over a real socket transport.
+    Any :class:`ServingFleet` will do — over in-loop shards or, as a
+    :class:`~repro.serving.procfleet.ProcessFleet`, over worker
+    processes behind a real socket transport.
 
     The generator reads the fleet's merged metrics *after* the run, so
     give it a fleet that has not served traffic yet — reusing a fleet
@@ -282,7 +281,7 @@ class LoadGenerator:
             shards=fleet.n_shards,
             selector=fleet.selector_name,
             per_shard=stats["per_shard"],
-            transport=getattr(fleet, "transport", "loop"),
+            transport=fleet.transport,
         )
 
 

@@ -1,14 +1,8 @@
 """Streaming telemetry for the hedging runtime.
 
-Latencies flow into two sketches that were previously only used offline:
-
-* a :class:`repro.structures.tdigest.TDigest` for arbitrary live
-  quantiles (tight in the tails, mergeable across clients/shards) —
-  snapshots and reports read from this, and
-* one :class:`repro.structures.psquare.P2Quantile` marker set per watched
-  percentile: O(1)-memory point estimates via :meth:`ServingMetrics.
-  fast_quantile` for hot paths (e.g. per-request admission heuristics)
-  that cannot afford a digest flush-and-scan.
+Latencies flow into a :class:`repro.structures.tdigest.TDigest`: live
+quantiles at any ``p``, tight in the tails, mergeable across
+clients/shards. Snapshots and reports read from it.
 
 Counters track the hedging-specific events: reissues sent, races won by
 the reissue (a "cancellation win" — the primary was cancelled), deadline
@@ -20,13 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
-from ..structures.psquare import P2Quantile
 from ..structures.tdigest import TDigest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .hedge import RequestOutcome
 
-#: Percentiles tracked by the P² fast path by default.
+#: Percentiles a ``snapshot()`` reports by default.
 DEFAULT_PERCENTILES = (0.50, 0.99, 0.999)
 
 
@@ -45,7 +38,7 @@ class MetricsSnapshot:
     quantiles: Mapping[float, float] = field(default_factory=dict)
 
     def render(self) -> str:
-        """A compact one-report table (used by ``repro-serve``)."""
+        """A compact one-report table (used by ``repro serve``)."""
         lines = [
             f"  requests completed   {self.completed:>10d}",
             f"  reissues sent        {self.reissues_sent:>10d}"
@@ -73,7 +66,7 @@ class ServingMetrics:
             if not 0.0 < p < 1.0:
                 raise ValueError(f"percentile must be in (0, 1), got {p}")
         self.digest = TDigest(compression)
-        self._p2 = {float(p): P2Quantile(float(p)) for p in percentiles}
+        self.percentiles = tuple(float(p) for p in percentiles)
         self.completed = 0
         self.reissues_sent = 0
         self.reissue_wins = 0
@@ -103,8 +96,6 @@ class ServingMetrics:
             raise ValueError("latency must be >= 0")
         self.completed += 1
         self.digest.add(latency_ms)
-        for sketch in self._p2.values():
-            sketch.add(latency_ms)
 
     # -- queries ------------------------------------------------------------
     @property
@@ -130,14 +121,10 @@ class ServingMetrics:
         """Latency quantile from the t-digest (any ``p``, tail-accurate)."""
         return self.digest.quantile(p)
 
-    def fast_quantile(self, p: float) -> float:
-        """O(1) P² estimate for a pre-registered percentile."""
-        return self._p2[float(p)].value()
-
     def snapshot(self) -> MetricsSnapshot:
         quantiles = {}
         if self.completed:
-            quantiles = {p: self.digest.quantile(p) for p in self._p2}
+            quantiles = {p: self.digest.quantile(p) for p in self.percentiles}
         return MetricsSnapshot(
             completed=self.completed,
             reissues_sent=self.reissues_sent,
@@ -164,14 +151,11 @@ class ServingMetrics:
         that saw the combined stream within the sketch's tolerance at
         the default compression — about 1% relative error through the
         99th percentile, a few percent at p999 where centroid weights
-        thin out (the cross-shard test pins both bounds). The O(1) P²
-        markers are *not*
-        mergeable; the union of watched percentiles is re-registered
-        with fresh sketches that warm up from subsequent traffic, so use
-        ``quantile()`` (not ``fast_quantile()``) on merged history.
+        thin out (the cross-shard test pins both bounds). The merged
+        object reports the union of both sides' ``percentiles``.
         """
         out = ServingMetrics(
-            percentiles=sorted(set(self._p2) | set(other._p2)),
+            percentiles=sorted({*self.percentiles, *other.percentiles}),
             compression=max(self.digest.compression, other.digest.compression),
         )
         out.digest = self.digest.merge(other.digest)

@@ -1,43 +1,39 @@
-"""A multi-process serving fleet: one event loop per core, sockets between.
+"""Worker processes behind the serving fleet: one event loop per core.
 
-:class:`~repro.serving.fleet.ServingFleet` shards N hedging clients
-across *one* asyncio loop on *one* core — it measures concurrency, not
-parallelism. This module scales the same front-door contract out to real
-worker processes, the "Tail at Scale" deployment shape: hedging across
-independently scheduled workers whose stragglers are uncorrelated, and
-whose cost is paid over a real transport instead of an in-process call.
+:class:`~repro.serving.fleet.ServingFleet` is the only front door. Built
+over in-loop shards it runs N hedging clients on *one* asyncio loop on
+*one* core — it measures concurrency, not parallelism. This module is
+the transport that puts the same front door over real worker processes,
+the "Tail at Scale" deployment shape: hedging across independently
+scheduled workers whose stragglers are uncorrelated, and whose cost is
+paid over a real transport instead of an in-process call.
 
-* :class:`ProcessFleet` — the front door. Spawns one worker process per
-  shard, routes requests to them over length-prefixed frames on
-  Unix-domain or TCP sockets, contains worker death (a closed pipe sheds
-  the in-flight requests and reroutes new arrivals — the front door
-  never hangs), and aggregates per-worker
-  :class:`~repro.serving.metrics.ServingMetrics` through the existing
-  ``merge()`` contract.
-* :func:`_worker_main` — one worker: its own event loop, its own
-  :class:`~repro.serving.hedge.HedgedClient` (plus optional
-  :class:`~repro.serving.autotune.AutoTuner` on the tuned shard) wrapped
-  in the same :class:`~repro.serving.fleet.ShardWorker`
-  admission/policy-sync logic the in-loop fleet uses.
+* :class:`WorkerHandle` — the socket :class:`~repro.serving.fleet.Shard`:
+  the front door's end of one worker process. Requests travel as
+  length-prefixed frames on a Unix-domain or TCP socket; a closed pipe
+  sheds the in-flight requests and clears ``alive`` so new arrivals are
+  routed around the worker — the front door never hangs.
+* :func:`_worker_main` — one worker: its own event loop around the same
+  in-loop :class:`~repro.serving.fleet.ShardWorker` the single-process
+  fleet uses (plus an :class:`~repro.serving.autotune.AutoTuner` on the
+  tuned shard).
 * :class:`PolicyStoreServer` / :class:`RemotePolicyStore` — the
-  fleet-shared :class:`~repro.serving.fleet.PolicyStore` moved behind a
-  socket. The server (in the front-door process) owns the versioned
-  store; each worker's ``RemotePolicyStore`` is a drop-in replacement
-  whose ``get()`` serves a locally cached ``(version, policy)`` snapshot
-  refreshed every few calls, so one worker's autotuner refit still
-  propagates fleet-wide with the same monotone-version semantics at an
-  amortized per-request cost of a fraction of a socket round trip.
+  fleet-shared :class:`~repro.serving.fleet.PolicyStore` behind a
+  socket: the front-door process owns the versioned store, each worker
+  reads it through a cached drop-in client, and one worker's refit
+  still propagates fleet-wide with the same monotone versions.
+* :class:`ProcessFleet` — spawns the workers and the store server and
+  hands the handles to ``ServingFleet``; ``close()`` reaps them.
 
 Wire protocol
 -------------
 Every message is one frame: a 4-byte big-endian payload length, then a
-1-byte message type, then the payload. Control messages (request,
-response, shed, error, health, store get/publish) carry UTF-8 JSON;
-the metrics-pull and shutdown replies carry a pickle (the t-digest
-behind ``ServingMetrics`` has no stable JSON form). Pickle is only ever
-read from sockets this process itself created — a private Unix socket
-path or a 127.0.0.1 port handed to its own children — never from
-untrusted peers.
+1-byte message type, then a UTF-8 JSON object. A reader rejects — with
+:class:`ProtocolError`, which every read loop treats like a closed
+connection — a frame that is empty, longer than
+:data:`MAX_FRAME_BYTES`, of unknown type, or whose payload is not a
+JSON object. No sketch crosses a socket: the detail-pull and shutdown
+replies carry only the worker's ``detail()`` dict and span dicts.
 
 Observability crosses the process boundary the same way the pipeline's
 pool does: the front door captures :func:`repro.obs.snapshot_context`,
@@ -49,11 +45,11 @@ dicts home where :func:`repro.obs.absorb` re-parents them.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import itertools
 import json
 import multiprocessing
 import os
-import pickle
 import shutil
 import socket
 import struct
@@ -65,12 +61,17 @@ import numpy as np
 
 from ..core.policies import ReissuePolicy
 from ..obs.trace import absorb, get_tracer, snapshot_context
-from .fleet import PolicyStore, ShardWorker, make_selector
+from .fleet import PolicyStore, ServingFleet, ShardWorker
 from .hedge import RequestOutcome
 from .metrics import ServingMetrics
 
 #: Transports the fleet (and ``repro loadgen --transport``) accepts.
 TRANSPORTS = ("unix", "tcp")
+
+#: Largest frame a reader accepts (type byte + payload), so a corrupt
+#: length prefix cannot make it allocate gigabytes. A shutdown reply
+#: whose span dicts exceed it is rejected and those spans are dropped.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
 
 _LEN = struct.Struct("!I")
 
@@ -79,17 +80,29 @@ MSG_REQUEST = 0x01  # parent -> worker: {"seq", "qid"}
 MSG_RESPONSE = 0x02  # worker -> parent: {"seq", "qid", outcome fields}
 MSG_SHED = 0x03  # worker -> parent: {"seq", "qid"} (admission shed)
 MSG_ERROR = 0x04  # worker -> parent: {"seq", "qid", "error"}
-MSG_HEALTH = 0x05  # parent -> worker: {}
-MSG_HEALTHY = 0x06  # worker -> parent: {"shard", "pid", "served"}
-MSG_METRICS = 0x07  # parent -> worker: {} (metrics-pull)
-MSG_METRICS_REPLY = 0x08  # worker -> parent: pickle {"metrics", "stats"}
+MSG_DETAIL = 0x07  # parent -> worker: {} (detail-pull)
+MSG_DETAIL_REPLY = 0x08  # worker -> parent: the shard's detail()
 MSG_SHUTDOWN = 0x09  # parent -> worker: {}
-MSG_BYE = 0x0A  # worker -> parent: pickle {"stats", "spans"}
+MSG_BYE = 0x0A  # worker -> parent: {"detail", "spans"}
 MSG_STORE_GET = 0x14  # client -> store: {}
 MSG_STORE_STATE = 0x15  # store -> client: {"version", "policy"}
 MSG_STORE_PUBLISH = 0x16  # client -> store: {"policy", "source"}
 
-_PICKLED_TYPES = frozenset({MSG_METRICS_REPLY, MSG_BYE})
+_MSG_TYPES = frozenset(
+    {
+        MSG_REQUEST,
+        MSG_RESPONSE,
+        MSG_SHED,
+        MSG_ERROR,
+        MSG_DETAIL,
+        MSG_DETAIL_REPLY,
+        MSG_SHUTDOWN,
+        MSG_BYE,
+        MSG_STORE_GET,
+        MSG_STORE_STATE,
+        MSG_STORE_PUBLISH,
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -97,25 +110,41 @@ _PICKLED_TYPES = frozenset({MSG_METRICS_REPLY, MSG_BYE})
 # ---------------------------------------------------------------------------
 
 
-def encode_frame(msg_type: int, body) -> bytes:
-    """One wire frame: length prefix, type byte, JSON or pickle payload."""
-    if msg_type in _PICKLED_TYPES:
-        payload = pickle.dumps(body, protocol=pickle.HIGHEST_PROTOCOL)
-    else:
-        payload = json.dumps(body, separators=(",", ":")).encode()
+class ProtocolError(ConnectionError):
+    """The peer sent bytes that are not a frame of this protocol."""
+
+
+def encode_frame(msg_type: int, body: dict) -> bytes:
+    """One wire frame: length prefix, type byte, JSON payload."""
+    payload = json.dumps(body, separators=(",", ":")).encode()
     return _LEN.pack(len(payload) + 1) + bytes((msg_type,)) + payload
 
 
-def decode_payload(msg_type: int, payload: bytes):
-    if msg_type in _PICKLED_TYPES:
-        return pickle.loads(payload)
-    return json.loads(payload.decode())
+def decode_payload(msg_type: int, payload: bytes) -> dict:
+    if msg_type not in _MSG_TYPES:
+        raise ProtocolError(f"unknown frame type {msg_type:#x}")
+    try:
+        body = json.loads(payload.decode())
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"frame payload is not UTF-8 JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise ProtocolError("frame payload is not a JSON object")
+    return body
 
 
-async def read_frame(reader: asyncio.StreamReader) -> tuple[int, object]:
-    """Read one frame; raises ``IncompleteReadError`` on a closed peer."""
-    head = await reader.readexactly(_LEN.size)
+def _frame_length(head: bytes) -> int:
     (length,) = _LEN.unpack(head)
+    if not 1 <= length <= MAX_FRAME_BYTES:
+        raise ProtocolError(
+            f"frame length {length} outside 1..{MAX_FRAME_BYTES}"
+        )
+    return length
+
+
+async def read_frame(reader: asyncio.StreamReader) -> tuple[int, dict]:
+    """Read one frame; raises ``IncompleteReadError`` on a closed peer
+    and :class:`ProtocolError` on bytes that are not a frame."""
+    length = _frame_length(await reader.readexactly(_LEN.size))
     blob = await reader.readexactly(length)
     return blob[0], decode_payload(blob[0], blob[1:])
 
@@ -131,9 +160,9 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_frame_blocking(sock: socket.socket) -> tuple[int, object]:
+def recv_frame_blocking(sock: socket.socket) -> tuple[int, dict]:
     """Blocking-socket twin of :func:`read_frame`."""
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
+    length = _frame_length(_recv_exact(sock, _LEN.size))
     blob = _recv_exact(sock, length)
     return blob[0], decode_payload(blob[0], blob[1:])
 
@@ -179,7 +208,7 @@ class PolicyStoreServer:
             )
         self.store = store if store is not None else PolicyStore()
         self.transport = transport
-        self._closing = threading.Event()
+        self._conns: set[socket.socket] = set()
         if transport == "unix":
             path = os.path.join(
                 runtime_dir or tempfile.mkdtemp(prefix="repro-store-"),
@@ -199,17 +228,18 @@ class PolicyStoreServer:
         self._acceptor.start()
 
     def _accept_loop(self) -> None:
-        while not self._closing.is_set():
+        while True:
             try:
                 conn, _ = self._sock.accept()
             except OSError:
                 return  # listener closed
+            self._conns.add(conn)
             threading.Thread(
                 target=self._serve_conn, args=(conn,), daemon=True
             ).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
-        with conn:
+        try:
             conn.settimeout(None)
             while True:
                 try:
@@ -234,18 +264,22 @@ class PolicyStoreServer:
                     conn.sendall(encode_frame(MSG_STORE_STATE, reply))
                 except OSError:
                     return
+        finally:
+            conn.close()
+            self._conns.discard(conn)
 
     def close(self) -> None:
-        self._closing.set()
-        try:
-            self._sock.close()
-        except OSError:
-            pass
+        """Stop accepting and drop every open connection (idempotent)."""
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        self._sock.close()
+        self._acceptor.join(timeout=1.0)  # no connection is added after
+        for conn in list(self._conns):
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)  # wakes its recv()
         if self.transport == "unix":
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(self.address)
-            except OSError:
-                pass
 
 
 class RemotePolicyStore:
@@ -278,17 +312,9 @@ class RemotePolicyStore:
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
         self._calls = 0
-        self._version = 0
-        self._policy: ReissuePolicy | None = None
+        self.version = 0
+        self.policy: ReissuePolicy | None = None
         self.refresh()  # fail fast if the server is unreachable
-
-    @property
-    def version(self) -> int:
-        return self._version
-
-    @property
-    def policy(self) -> ReissuePolicy | None:
-        return self._policy
 
     def _rpc(self, msg_type: int, body: dict) -> dict:
         with self._lock:
@@ -315,27 +341,27 @@ class RemotePolicyStore:
 
     def _adopt(self, reply: dict) -> None:
         version = int(reply["version"])
-        if version != self._version:
+        if version != self.version:
             spec = reply.get("policy")
-            self._policy = (
+            self.policy = (
                 None if spec is None else ReissuePolicy.from_spec(spec)
             )
-            self._version = version
+            self.version = version
 
     def refresh(self) -> tuple[int, ReissuePolicy | None]:
         """Force a round trip to the server; returns the fresh snapshot."""
         self._adopt(self._rpc(MSG_STORE_GET, {}))
-        return self._version, self._policy
+        return self.version, self.policy
 
     def get(self) -> tuple[int, ReissuePolicy | None]:
         """The cached ``(version, policy)``, refreshed every few calls."""
         self._calls += 1
-        if self._version == 0 or self._calls % self.poll_every == 0:
+        if self.version == 0 or self._calls % self.poll_every == 0:
             try:
                 self.refresh()
             except (ConnectionError, OSError):
                 pass  # serve the cached policy; next poll retries
-        return self._version, self._policy
+        return self.version, self.policy
 
     def publish(self, policy: ReissuePolicy, source: str = "") -> int:
         if not isinstance(policy, ReissuePolicy):
@@ -346,15 +372,12 @@ class RemotePolicyStore:
             MSG_STORE_PUBLISH, {"policy": policy.to_spec(), "source": source}
         )
         self._adopt(reply)
-        return self._version
+        return self.version
 
     def close(self) -> None:
         with self._lock:
             if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
+                self._sock.close()
                 self._sock = None
 
 
@@ -384,16 +407,14 @@ async def _worker_serve(spec: dict) -> None:
     backend = serving_backend(
         scenario, spec["time_scale"], np.random.default_rng(backend_seq)
     )
-    tuner = None
-    if spec.get("autotune") and spec.get("tuned"):
-        tuner = AutoTuner(**spec["autotune"])
+    tuner = AutoTuner(**spec["autotune"]) if spec["autotune"] else None
     policy = None
-    if spec.get("policy") is not None and tuner is None:
+    if spec["policy"] is not None and tuner is None:
         policy = ReissuePolicy.from_spec(spec["policy"])
     store = RemotePolicyStore(
         spec["store_address"],
         transport=spec["transport"],
-        poll_every=spec.get("poll_every", 8),
+        poll_every=spec["poll_every"],
     )
     client = HedgedClient(
         backend,
@@ -406,17 +427,7 @@ async def _worker_serve(spec: dict) -> None:
     )
     shard = ShardWorker(shard_id, client, store, spec["admission_limit"])
     done = asyncio.Event()
-
-    def worker_stats() -> dict:
-        stats = shard.stats()
-        stats.update(
-            pid=os.getpid(),
-            refits=0 if tuner is None else tuner.n_refits,
-            store_version=store.version,
-            policy_spec=client.policy.to_spec(),
-            peak_in_flight=client.peak_in_flight,
-        )
-        return stats
+    serving: set[asyncio.Task] = set()  # strong refs: the loop's are weak
 
     async def handle_conn(reader, writer):
         wlock = asyncio.Lock()
@@ -427,46 +438,31 @@ async def _worker_serve(spec: dict) -> None:
                 await writer.drain()
 
         async def serve_request(seq: int, qid: int) -> None:
-            # If the parent connection closed mid-request the reply has
-            # nowhere to go — drop it; the parent already shed the seq.
-            try:
-                await _serve_request(seq, qid)
-            except (RuntimeError, ConnectionError, OSError):
-                pass
-
-        async def _serve_request(seq: int, qid: int) -> None:
             try:
                 outcome = await shard.serve_one(qid)
-            except Exception as exc:  # noqa: BLE001 - contained, reported
-                shard.errors += 1
-                await send(
-                    MSG_ERROR,
-                    {
-                        "seq": seq,
-                        "qid": qid,
-                        "error": f"{type(exc).__name__}: {exc}",
-                    },
-                )
-                return
-            if outcome is None:
-                await send(MSG_SHED, {"seq": seq, "qid": qid})
-                return
-            await send(
-                MSG_RESPONSE,
-                {
-                    "seq": seq,
-                    "qid": qid,
-                    "latency_ms": outcome.latency_ms,
-                    "winner": outcome.winner,
-                    "n_planned": outcome.n_planned,
-                    "n_reissues": outcome.n_reissues,
-                    "cancelled": outcome.cancelled_attempts,
-                    "deadline": outcome.deadline_exceeded,
-                    "pair": (
-                        None if outcome.pair is None else list(outcome.pair)
-                    ),
-                },
-            )
+            except Exception as exc:  # noqa: BLE001 - counted, reported
+                msg_type = MSG_ERROR
+                body = {"error": f"{type(exc).__name__}: {exc}"}
+            else:
+                if outcome is None:
+                    msg_type, body = MSG_SHED, {}
+                else:
+                    msg_type = MSG_RESPONSE
+                    body = {
+                        "latency_ms": outcome.latency_ms,
+                        "winner": outcome.winner,
+                        "n_planned": outcome.n_planned,
+                        "n_reissues": outcome.n_reissues,
+                        "cancelled": outcome.cancelled_attempts,
+                        "deadline": outcome.deadline_exceeded,
+                        "pair": (
+                            None if outcome.pair is None else list(outcome.pair)
+                        ),
+                    }
+            # If the parent connection closed mid-request the reply has
+            # nowhere to go — drop it; the parent already shed the seq.
+            with contextlib.suppress(RuntimeError, ConnectionError, OSError):
+                await send(msg_type, {"seq": seq, "qid": qid, **body})
 
         try:
             while True:
@@ -475,42 +471,33 @@ async def _worker_serve(spec: dict) -> None:
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 if msg_type == MSG_REQUEST:
-                    asyncio.ensure_future(
+                    task = asyncio.ensure_future(
                         serve_request(body["seq"], body["qid"])
                     )
-                elif msg_type == MSG_HEALTH:
-                    await send(
-                        MSG_HEALTHY,
-                        {
-                            "shard": shard_id,
-                            "pid": os.getpid(),
-                            "served": client.metrics.completed,
-                        },
-                    )
-                elif msg_type == MSG_METRICS:
-                    await send(
-                        MSG_METRICS_REPLY,
-                        {"metrics": client.metrics, "stats": worker_stats()},
-                    )
+                    serving.add(task)
+                    task.add_done_callback(serving.discard)
+                elif msg_type == MSG_DETAIL:
+                    await send(MSG_DETAIL_REPLY, shard.detail())
                 elif msg_type == MSG_SHUTDOWN:
                     if tuner is not None:
-                        try:
+                        # A failed refit must not keep the BYE from going.
+                        with contextlib.suppress(Exception):
                             tuner.close()
-                        except Exception:  # noqa: BLE001 - report, don't die
-                            pass
                     tracer = get_tracer()
                     spans = (
                         [s.as_dict() for s in tracer.drain()]
                         if tracer.enabled
                         else []
                     )
-                    await send(
-                        MSG_BYE, {"stats": worker_stats(), "spans": spans}
-                    )
-                    done.set()
+                    try:
+                        await send(
+                            MSG_BYE, {"detail": shard.detail(), "spans": spans}
+                        )
+                    finally:  # exit even if the BYE could not be sent
+                        done.set()
                     return
                 else:
-                    return  # unknown frame: drop the connection
+                    return  # not a frame a worker serves: drop the connection
         except asyncio.CancelledError:
             # Server teardown cancels open connection handlers; exiting
             # quietly keeps the asyncio streams callback from logging.
@@ -518,7 +505,7 @@ async def _worker_serve(spec: dict) -> None:
         finally:
             writer.close()
 
-    with remote_context(spec.get("trace_ctx")):
+    with remote_context(spec["trace_ctx"]):
         if spec["transport"] == "unix":
             server = await asyncio.start_unix_server(
                 handle_conn, path=spec["worker_path"]
@@ -540,39 +527,46 @@ async def _worker_serve(spec: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# The front door
+# The socket shard
 # ---------------------------------------------------------------------------
 
 
-class _WorkerDied(ConnectionError):
-    """The worker's pipe closed while requests were in flight."""
-
-
 class WorkerHandle:
-    """The front door's view of one worker process.
+    """The socket :class:`~repro.serving.fleet.Shard`: the front door's
+    end of one worker process.
 
-    Owns the process handle, the per-event-loop request connection, and
-    the parent-side accounting: ``dispatched``/``completed``/``shed``/
-    ``errors`` counters plus a shadow :class:`ServingMetrics` rebuilt
-    from response frames. The shadow is what keeps the fleet's merged
-    counters exact when a worker dies — its own metrics die with it, but
-    every response that actually reached the front door is still
-    accounted.
+    Its counters and ``metrics`` record what reached the front door —
+    every ``RESPONSE`` frame is folded in on arrival — so they stay
+    exact when the worker dies and nothing has to be pulled from it.
+
+    ``alive`` is a plain flag: set once the worker is ready, cleared
+    when a pipe EOF, connect or send failure coincides with the process
+    having exited (event-loop teardown also ends the read loop, and is
+    not death), or when the worker stops answering control RPCs.
     """
 
     def __init__(self, spec: dict, ctx):
         self.spec = spec
         self.shard_id = int(spec["shard_id"])
-        self._ctx = ctx
-        self.process = None
+        self.time_scale = float(spec["time_scale"])
+        self.process = ctx.Process(
+            target=_worker_main, args=(spec,), daemon=True
+        )
         self.address = None
-        self.dispatched = 0
-        self.completed = 0
+        self.alive = False
+        self.metrics = ServingMetrics()
+        self.issued = 0
         self.shed = 0
         self.errors = 0
-        self.in_flight = 0
-        self.died = False
-        self.shadow = ServingMetrics()
+        self.load = 0
+        # The last detail() the worker reported.
+        self._detail = {
+            "peak_active": 0,
+            "pid": None,
+            "refits": 0,
+            "store_version": 0,
+            "policy_spec": None,
+        }
         self._seq = itertools.count(1)
         self._pending: dict[int, asyncio.Future] = {}
         self._loop = None
@@ -583,12 +577,6 @@ class WorkerHandle:
         self._read_task = None  # strong ref: create_task alone is weak
 
     # -- lifecycle -----------------------------------------------------------
-    def spawn(self) -> None:
-        self.process = self._ctx.Process(
-            target=_worker_main, args=(self.spec,), daemon=True
-        )
-        self.process.start()
-
     def wait_ready(self, timeout: float) -> None:
         deadline = time.monotonic() + timeout
         ready_path = self.spec["ready_path"]
@@ -597,6 +585,8 @@ class WorkerHandle:
                 with open(ready_path) as fh:
                     info = json.load(fh)
                 self.address = info["address"]
+                self._detail["pid"] = info["pid"]
+                self.alive = True
                 return
             if not self.process.is_alive():
                 raise RuntimeError(
@@ -609,20 +599,11 @@ class WorkerHandle:
         )
 
     @property
-    def alive(self) -> bool:
-        return (
-            not self.died
-            and self.process is not None
-            and self.process.is_alive()
-        )
-
-    @property
-    def load(self) -> int:
-        """Requests in flight to this worker (the routing signal)."""
-        return self.in_flight
+    def completed(self) -> int:
+        return self.metrics.completed
 
     # -- the request path ----------------------------------------------------
-    async def _ensure_connected(self) -> None:
+    async def _connection(self) -> asyncio.StreamWriter:
         loop = asyncio.get_running_loop()
         if self._loop is not loop:
             # First touch from a new event loop (the LoadGenerator runs
@@ -634,7 +615,7 @@ class WorkerHandle:
             self._conn_lock = asyncio.Lock()
         async with self._conn_lock:
             if self._writer is not None and not self._writer.is_closing():
-                return
+                return self._writer
             if self.spec["transport"] == "unix":
                 reader, writer = await asyncio.open_unix_connection(
                     self.address
@@ -646,6 +627,7 @@ class WorkerHandle:
                 )
             self._reader, self._writer = reader, writer
             self._read_task = loop.create_task(self._read_loop(reader))
+            return writer
 
     async def _read_loop(self, reader) -> None:
         try:
@@ -658,53 +640,50 @@ class WorkerHandle:
             pass
         finally:
             # Runs both on worker EOF and on event-loop teardown (task
-            # cancellation): fail whatever is still pending — those
-            # requests will never be answered on this connection — but
-            # only mark the worker dead if its process actually exited.
+            # cancellation). Nothing pending will be answered on this
+            # connection, so fail it and drop the connection — a later
+            # request reconnects, and fails fast if the worker is gone —
+            # but only a process that actually exited is dead.
             if reader is self._reader:
-                self._fail_pending()
+                self._writer.close()
+                self._reader = self._writer = None
+                pending, self._pending = self._pending, {}
+                for future in pending.values():
+                    if not future.done():
+                        future.set_exception(
+                            ConnectionResetError("worker pipe closed")
+                        )
                 self._check_liveness()
 
-    def _fail_pending(self) -> None:
-        """The pipe closed: fail every pending request as shed."""
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(_WorkerDied())
-
     def _check_liveness(self) -> None:
-        if self.process is not None and not self.process.is_alive():
-            self.died = True
+        if not self.process.is_alive():
+            self.alive = False
 
     async def submit(self, query_id: int) -> RequestOutcome | None:
         """Dispatch one request; ``None`` means shed, errored, or lost
         to a dying worker — the caller's stream never sees an exception."""
-        self.dispatched += 1
-        if not self.alive:
-            self.shed += 1
-            return None
+        self.issued += 1
         seq = next(self._seq)
-        self.in_flight += 1
+        self.load += 1
         try:
-            await self._ensure_connected()
+            writer = await self._connection()
             future = asyncio.get_running_loop().create_future()
             self._pending[seq] = future
             frame = encode_frame(
                 MSG_REQUEST, {"seq": seq, "qid": int(query_id)}
             )
             async with self._wlock:
-                self._writer.write(frame)
-                await self._writer.drain()
+                writer.write(frame)
+                await writer.drain()
             msg_type, body = await future
-        except (_WorkerDied, ConnectionError, OSError):
+        except (ConnectionError, OSError):
             self._pending.pop(seq, None)
             self._check_liveness()
             self.shed += 1
             return None
         finally:
-            self.in_flight -= 1
+            self.load -= 1
         if msg_type == MSG_RESPONSE:
-            self.completed += 1
             outcome = RequestOutcome(
                 query_id=int(body["qid"]),
                 latency_ms=float(body["latency_ms"]),
@@ -715,7 +694,7 @@ class WorkerHandle:
                 deadline_exceeded=bool(body["deadline"]),
                 pair=None if body["pair"] is None else tuple(body["pair"]),
             )
-            self.shadow.record(outcome)
+            self.metrics.record(outcome)
             return outcome
         if msg_type == MSG_SHED:
             self.shed += 1
@@ -724,77 +703,51 @@ class WorkerHandle:
         return None
 
     # -- blocking control-plane RPCs (off the event loop) --------------------
-    def control_rpc(self, msg_type: int, body: dict, timeout: float = 10.0):
-        """One blocking request/reply on a fresh connection — usable
-        after the serving event loop has closed (metrics-pull, health,
-        shutdown all come through here)."""
-        sock = _connect_blocking(
-            self.spec["transport"], self.address, timeout
-        )
-        try:
-            sock.sendall(encode_frame(msg_type, body))
-            return recv_frame_blocking(sock)
-        finally:
-            sock.close()
-
-    def pull(self) -> dict | None:
-        """Metrics-pull: the worker's live ``ServingMetrics`` + stats,
-        or ``None`` for a dead/unreachable worker."""
+    def _control_rpc(self, msg_type: int, timeout: float = 10.0) -> dict | None:
+        """One blocking request/reply on a fresh connection (no event
+        loop needed). ``None``, and the worker marked dead, on no answer."""
         if not self.alive:
             return None
         try:
-            msg_type, body = self.control_rpc(MSG_METRICS, {})
-        except (ConnectionError, OSError, TimeoutError):
-            self.died = True
+            sock = _connect_blocking(
+                self.spec["transport"], self.address, timeout
+            )
+            with sock:
+                sock.sendall(encode_frame(msg_type, {}))
+                return recv_frame_blocking(sock)[1]
+        except (ConnectionError, OSError):
+            self.alive = False
             return None
-        if msg_type != MSG_METRICS_REPLY:
-            return None
-        return body
 
-    def healthcheck(self, timeout: float = 5.0) -> dict | None:
-        if not self.alive:
-            return None
-        try:
-            msg_type, body = self.control_rpc(MSG_HEALTH, {}, timeout)
-        except (ConnectionError, OSError, TimeoutError):
-            return None
-        return body if msg_type == MSG_HEALTHY else None
+    def detail(self) -> dict:
+        """The worker's ``ShardWorker.detail()``, or the last one it sent."""
+        self._detail = self._control_rpc(MSG_DETAIL) or self._detail
+        return dict(self._detail)
 
-    def shutdown(self, timeout: float = 10.0) -> dict | None:
-        """Graceful stop; returns the BYE payload (final stats + spans)."""
-        bye = None
-        if self.alive:
-            try:
-                msg_type, body = self.control_rpc(MSG_SHUTDOWN, {}, timeout)
-                if msg_type == MSG_BYE:
-                    bye = body
-            except (ConnectionError, OSError, TimeoutError):
-                pass
-        if self.process is not None:
+    def close(self, timeout: float = 10.0) -> None:
+        """Graceful stop: final detail and spans come home in the BYE
+        reply, then the process is reaped (killed if it lingers)."""
+        bye = self._control_rpc(MSG_SHUTDOWN, timeout)
+        if bye is not None:
+            self._detail = bye["detail"]
+            absorb(bye["spans"])
+        self.alive = False
+        if self.process.pid is not None:  # else: never spawned
             self.process.join(timeout=timeout)
             if self.process.is_alive():
                 self.process.kill()
                 self.process.join(timeout=timeout)
-        return bye
-
-    def kill(self) -> None:
-        """SIGKILL the worker (fault injection for tests)."""
-        if self.process is not None and self.process.is_alive():
-            self.process.kill()
 
 
-class ProcessFleet:
-    """N worker *processes* behind the same front door as ``ServingFleet``.
+class ProcessFleet(ServingFleet):
+    """A :class:`~repro.serving.fleet.ServingFleet` over N worker
+    *processes*.
 
-    Duck-compatible with :class:`~repro.serving.fleet.ServingFleet` where
-    the :class:`~repro.serving.loadgen.LoadGenerator` is concerned:
-    ``await fleet.request(qid)``, ``fleet.metrics()`` (merged via the
-    ``ServingMetrics.merge`` contract), ``fleet.stats()``,
-    ``shed_total`` / ``errors`` / ``store.version``. The differences are
-    what the process boundary buys: every worker owns a core-wide event
-    loop, requests travel over real sockets, and one worker dying sheds
-    its in-flight requests and reroutes new arrivals instead of taking
-    the fleet down.
+    Everything past construction — routing, accounting, ``metrics()``,
+    ``stats()`` — is the one front door's. What the process boundary
+    buys: every worker owns a core-wide event loop, requests travel over
+    real sockets, and one worker dying sheds its in-flight requests and
+    reroutes new arrivals instead of taking the fleet down.
 
     Parameters mirror ``ServingFleet.build`` plus the process-fleet
     knobs: ``transport`` (``"unix"`` default, ``"tcp"``), ``autotune``
@@ -824,212 +777,70 @@ class ProcessFleet:
     ):
         if n_procs < 1:
             raise ValueError("n_procs must be >= 1")
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r} "
-                f"(valid: {', '.join(TRANSPORTS)})"
-            )
         if autotune is not None and not 0 <= tuned_shard < n_procs:
             raise ValueError(
                 f"tuned_shard {tuned_shard} out of range for "
                 f"{n_procs} worker(s)"
             )
         self.transport = transport
-        self.time_scale = float(time_scale)
-        if isinstance(selector, str):
-            self.selector_name = selector
-            self.selector = make_selector(selector)
-        else:
-            self.selector_name = type(selector).__name__
-            self.selector = selector
-        self._runtime_dir = tempfile.mkdtemp(prefix="repro-fleet-")
-        self._store_server = PolicyStoreServer(
-            PolicyStore(policy),
-            transport=transport,
-            runtime_dir=self._runtime_dir,
-        )
-        self.requests = 0
-        self.shed_unrouted = 0
-        self._absorbed_spans = 0
-        self._closed = False
         ctx = multiprocessing.get_context("spawn")
-        scenario_dict = scenario.to_dict()
-        trace_ctx = snapshot_context()
-        self.workers = []
-        for i in range(n_procs):
-            spec = {
-                "shard_id": i,
-                "scenario": scenario_dict,
+        with contextlib.ExitStack() as cleanup:
+            runtime_dir = tempfile.mkdtemp(prefix="repro-fleet-")
+            cleanup.callback(shutil.rmtree, runtime_dir, ignore_errors=True)
+            #: Serves ``self.store`` to the workers.
+            self.store_server = store_server = PolicyStoreServer(
+                PolicyStore(policy), transport=transport, runtime_dir=runtime_dir
+            )
+            cleanup.callback(store_server.close)
+            common = {
+                "scenario": scenario.to_dict(),
                 "policy": None if policy is None else policy.to_spec(),
-                "autotune": dict(autotune) if autotune else None,
-                "tuned": autotune is not None and i == tuned_shard,
                 "concurrency": int(concurrency),
                 "deadline_ms": deadline_ms,
                 "probe_fraction": float(probe_fraction),
                 "admission_limit": admission_limit,
                 "time_scale": float(time_scale),
                 "transport": transport,
-                "store_address": self._store_server.address,
-                "worker_path": os.path.join(
-                    self._runtime_dir, f"worker{i}.sock"
-                ),
-                "ready_path": os.path.join(
-                    self._runtime_dir, f"worker{i}.ready"
-                ),
+                "store_address": store_server.address,
                 "poll_every": int(poll_every),
                 "seed": int(seed),
-                "trace_ctx": trace_ctx,
+                "trace_ctx": snapshot_context(),
             }
-            self.workers.append(WorkerHandle(spec, ctx))
-        try:
-            for worker in self.workers:
-                worker.spawn()
+            super().__init__(
+                [
+                    WorkerHandle(
+                        {
+                            **common,
+                            "shard_id": i,
+                            # The tuner is built inside the tuned worker.
+                            "autotune": autotune if i == tuned_shard else None,
+                            "worker_path": os.path.join(
+                                runtime_dir, f"worker{i}.sock"
+                            ),
+                            "ready_path": os.path.join(
+                                runtime_dir, f"worker{i}.ready"
+                            ),
+                        },
+                        ctx,
+                    )
+                    for i in range(n_procs)
+                ],
+                selector=selector,
+                store=store_server.store,
+            )
+            cleanup.callback(super().close)
+            for worker in self.shards:
+                worker.process.start()
             deadline = time.monotonic() + spawn_timeout
-            for worker in self.workers:
+            for worker in self.shards:
                 worker.wait_ready(max(deadline - time.monotonic(), 0.1))
-        except BaseException:
-            self.close()
-            raise
+            # Everything came up: the teardown now belongs to close().
+            self._cleanup = cleanup.pop_all()
 
-    # -- ServingFleet-compatible surface -------------------------------------
-    @property
-    def store(self) -> PolicyStore:
-        """The authoritative fleet policy store (lives in this process)."""
-        return self._store_server.store
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.workers)
-
-    @property
-    def shed_total(self) -> int:
-        return self.shed_unrouted + sum(w.shed for w in self.workers)
-
-    @property
-    def errors(self) -> int:
-        return sum(w.errors for w in self.workers)
-
-    @property
-    def completed_total(self) -> int:
-        return sum(w.completed for w in self.workers)
-
-    @property
-    def live_workers(self) -> list[WorkerHandle]:
-        return [w for w in self.workers if w.alive]
-
-    async def request(self, query_id: int, key=None) -> RequestOutcome | None:
-        """Route one request to a live worker over the socket transport.
-
-        Returns ``None`` when it was shed (admission, no live worker, or
-        a worker died with it in flight) or every attempt errored —
-        worker failure is contained here, never raised to the stream.
-        """
-        self.requests += 1
-        live = self.live_workers
-        if not live:
-            self.shed_unrouted += 1
-            return None
-        worker = live[self.selector.select(live, query_id, key) % len(live)]
-        tracer = get_tracer()
-        if not tracer.enabled:
-            return await worker.submit(query_id)
-        with tracer.span(
-            "fleet.request", query_id=query_id, shard=worker.shard_id
-        ) as span:
-            outcome = await worker.submit(query_id)
-            span.attrs["ok"] = outcome is not None
-            span.attrs["transport"] = self.transport
-            return outcome
-
-    def metrics(self) -> ServingMetrics:
-        """Fleet-merged telemetry via ``ServingMetrics.merge``.
-
-        Live workers are pulled over the metrics-pull RPC (their own
-        sketches, the same objects a single-process shard would merge);
-        a dead worker contributes its front-door shadow instead, so the
-        merged counters still account for every response that arrived.
-        """
-        merged = ServingMetrics().merge(ServingMetrics())
-        for worker in self.workers:
-            pulled = worker.pull()
-            part = worker.shadow if pulled is None else pulled["metrics"]
-            merged = merged.merge(part)
-        return merged
-
-    def snapshot(self):
-        return self.metrics().snapshot()
-
-    def stats(self) -> dict:
-        """Fleet accounting: front-door counters + per-worker detail.
-
-        Counter truth (``issued``/``completed``/``shed``/``errors``) is
-        front-door-side so the identity ``issued == completed + shed +
-        errors`` holds per worker even across a crash; latency/tuning
-        detail is pulled from the worker when it is alive.
-        """
-        per_worker = []
-        for worker in self.workers:
-            pulled = worker.pull()
-            entry = {
-                "shard": worker.shard_id,
-                "issued": worker.dispatched,
-                "accepted": worker.completed + worker.errors,
-                "completed": worker.completed,
-                "shed": worker.shed,
-                "errors": worker.errors,
-                "alive": worker.alive,
-                "peak_active": None,
-                "reissue_rate": round(worker.shadow.reissue_rate, 4),
-                "deadline_misses": worker.shadow.deadline_exceeded,
-                "p99_ms": (
-                    round(worker.shadow.quantile(0.99), 3)
-                    if worker.shadow.completed
-                    else None
-                ),
-            }
-            if pulled is not None:
-                detail = pulled["stats"]
-                entry.update(
-                    peak_active=detail.get("peak_active"),
-                    pid=detail.get("pid"),
-                    refits=detail.get("refits", 0),
-                    store_version=detail.get("store_version", 0),
-                    policy_spec=detail.get("policy_spec"),
-                )
-            per_worker.append(entry)
-        unrouted = self.shed_unrouted
-        return {
-            "shards": self.n_shards,
-            "selector": self.selector_name,
-            "transport": self.transport,
-            "requests": self.requests,
-            "completed": self.completed_total,
-            "shed": self.shed_total,
-            "shed_unrouted": unrouted,
-            "errors": self.errors,
-            "policy_version": self.store.version,
-            "per_shard": per_worker,
-        }
-
-    # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Shut every worker down, absorb their spans, stop the store
-        server, and remove the socket/ready files (idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        for worker in self.workers:
-            bye = worker.shutdown()
-            if bye and bye.get("spans"):
-                self._absorbed_spans += absorb(bye["spans"])
-        self._store_server.close()
-        shutil.rmtree(self._runtime_dir, ignore_errors=True)
-
-    def __enter__(self) -> "ProcessFleet":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        """Shut every worker down (absorbing their spans), stop the
+        store server, and remove the socket/ready files (idempotent)."""
+        self._cleanup.close()
 
     def __del__(self):  # pragma: no cover - best-effort cleanup
         try:

@@ -3,7 +3,6 @@
 from .fenwick import FenwickTree
 from .ecdf import EmpiricalCdf, MonotoneCdfCursor
 from .range2d import MergeSortTree, DominanceSweep
-from .psquare import P2Quantile
 from .tdigest import TDigest
 
 __all__ = [
@@ -12,6 +11,5 @@ __all__ = [
     "MonotoneCdfCursor",
     "MergeSortTree",
     "DominanceSweep",
-    "P2Quantile",
     "TDigest",
 ]

@@ -25,6 +25,7 @@ supplies the randomness that reissue exploits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,7 +251,7 @@ class SearchWorkload:
                     self._length_p,
                 )
             )
-            e_work = float(np.dot(self._term_p, self._work))
+            e_work = self._expected_term_work()
             work_per_ms = e_terms * e_work / (target_mean_ms - overhead_ms)
         if work_per_ms <= 0:
             raise ValueError("work_per_ms must be > 0")
@@ -266,6 +267,15 @@ class SearchWorkload:
         self.exec_noise_sigma = float(exec_noise_sigma)
         self._frozen_costs: np.ndarray | None = None
         self._last_det: np.ndarray | None = None
+
+    def _expected_term_work(self) -> float:
+        """``E_biased[work per term]``, correctly rounded.
+
+        ``math.fsum`` rather than ``np.dot``: BLAS ``ddot`` accumulates
+        the 50 000-term vocabulary in a build-dependent order, and the
+        last-bit difference in ``work_per_ms`` moves every Lucene golden.
+        """
+        return math.fsum((self._term_p * self._work).tolist())
 
     def _query_term_probabilities(self) -> np.ndarray:
         base = zipf_probabilities(
@@ -401,5 +411,5 @@ class SearchWorkload:
                 self._length_p,
             )
         )
-        e_work = float(np.dot(self._term_p, self._work))
+        e_work = self._expected_term_work()
         return self.overhead_ms + e_terms * e_work / self.work_per_ms

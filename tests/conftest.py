@@ -1,7 +1,22 @@
 """Shared fixtures for the test suite."""
 
+import signal
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def restore_sigpipe():
+    """``repro.main.main`` restores the default SIGPIPE action (for shell
+    pipelines). Called in-process by a test, that would outlive it and
+    let a later test's write to a dead worker's socket kill pytest."""
+    if not hasattr(signal, "SIGPIPE"):
+        yield
+        return
+    before = signal.getsignal(signal.SIGPIPE)
+    yield
+    signal.signal(signal.SIGPIPE, before)
 
 
 @pytest.fixture

@@ -103,9 +103,9 @@ class TestFigureSpecifics:
 
 class TestCli:
     def test_list(self, capsys):
-        from repro.cli import main
+        from repro.main import main
 
-        assert main(["list"]) == 0
+        assert main(["figure", "list"]) == 0
         out = capsys.readouterr().out
         assert "fig2" in out and "fig9" in out
         # Each entry carries its one-line docstring summary, not the
@@ -114,18 +114,18 @@ class TestCli:
         assert "Figure 9: service-time distributions" in out
 
     def test_unknown_experiment(self, capsys):
-        from repro.cli import main
+        from repro.main import main
 
-        assert main(["fig99"]) == 2
+        assert main(["figure", "run", "fig99"]) == 2
 
     def test_writes_outputs(self, tmp_path, capsys, monkeypatch):
         from repro import cli
-        from repro.experiments import registry
+        from repro.main import main
 
         def fake_run(eid, scale="standard", seed=42, **kw):
             return run_experiment("fig9", scale=TINY, seed=1)
 
         monkeypatch.setattr(cli, "run_experiment", fake_run)
-        assert cli.main(["fig9", "--out", str(tmp_path)]) == 0
+        assert main(["figure", "run", "fig9", "--out", str(tmp_path)]) == 0
         assert (tmp_path / "fig9.txt").exists()
         assert (tmp_path / "fig9.csv").exists()

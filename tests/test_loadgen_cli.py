@@ -95,6 +95,35 @@ class TestLoadgenRuns:
                 == shard["completed"] + shard["shed"] + shard["errors"]
             )
 
+    @pytest.mark.parametrize("transport", ["unix", "tcp"])
+    def test_procs_record_is_valid_after_a_sigkilled_worker(
+        self, tmp_path, capsys, monkeypatch, transport
+    ):
+        import threading
+
+        from repro.serving import procfleet
+
+        class KilledMidRun(procfleet.ProcessFleet):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                threading.Timer(0.03, self.shards[1].process.kill).start()
+
+        monkeypatch.setattr(procfleet, "ProcessFleet", KilledMidRun)
+        out = tmp_path / "BENCH_serving.json"
+        rc = main(
+            [
+                "loadgen", "fleet-tail-quick", "--procs", "2",
+                "--transport", transport, "--requests", "400",
+                "--rps", "3000", "--time-scale", "1e-4", "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        record = json.loads(out.read_text())
+        assert validate_record(record) == []
+        results = record["results"]
+        assert results["issued"] == 400 and results["shed"] > 0
+        assert [s["alive"] for s in results["per_shard"]] == [True, False]
+
 
 class TestLoadgenArgumentErrors:
     """Errors must name the offending flag, not raise a bare KeyError."""

@@ -325,20 +325,20 @@ def test_pipeline_importable_before_experiments():
 
 class TestCliFlags:
     def test_run_subcommand_with_workers_and_cache(self, tmp_path, capsys):
-        from repro.cli import main
+        from repro.main import main
 
         cache = tmp_path / "cache"
         rc = main(
-            ["run", "fig9", "--scale", "quick", "--workers", "2",
+            ["figure", "run", "fig9", "--scale", "quick", "--workers", "2",
              "--cache", str(cache)]
         )
         assert rc == 0
         assert any(cache.iterdir())  # cache populated
 
     def test_list_shows_scales(self, capsys):
-        from repro.cli import main
+        from repro.main import main
 
-        assert main(["list"]) == 0
+        assert main(["figure", "list"]) == 0
         out = capsys.readouterr().out
         assert "scales:" in out
         for name in ("quick", "standard", "full"):

@@ -17,7 +17,9 @@ The pipeline refactor's contract, enforced here across fig2–fig9 at
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 
 from repro.experiments import run_experiment
 from repro.pipeline.golden import rows_digest
@@ -57,7 +59,8 @@ def test_serial_rows_match_pre_refactor_golden(figure_runs):
     assert len(serial.rows) == golden["n_rows"]
     assert serial.headers == golden["headers"]
     assert rows_digest(serial.rows) == golden["digest"], (
-        f"{eid}: rows diverged from the pre-pipeline serial driver"
+        f"{eid}: rows diverged from the pre-pipeline serial driver "
+        f"(numpy {np.__version__}, scipy {scipy.__version__})"
     )
 
 

@@ -47,10 +47,10 @@ def test_readme_snippet_runs(idx):
     )
 
 
-def test_readme_documents_both_console_scripts():
+def test_readme_documents_figure_and_serve_commands():
     text = README.read_text()
-    assert "repro-experiment" in text
-    assert "repro-serve" in text
+    assert "repro figure" in text
+    assert "repro serve" in text
 
 
 def test_readme_quickstart_cli_lines_point_at_real_modules():

@@ -1,4 +1,4 @@
-"""The unified ``repro`` CLI and the deprecated console-script shims."""
+"""The unified ``repro`` CLI."""
 
 import warnings
 
@@ -118,10 +118,6 @@ class TestFigureSubcommand:
         out = capsys.readouterr().out
         assert "fig2" in out and "fig9" in out and "scales:" in out
 
-    def test_figure_bare_id_normalized(self, capsys):
-        # `repro figure fig99` == `repro figure run fig99` (and is unknown).
-        assert main(["figure", "fig99"]) == 2
-
 
 class TestServeSubcommand:
     def test_serve_fixed_policy(self, capsys):
@@ -136,22 +132,7 @@ class TestServeSubcommand:
         assert "requests completed" in out
 
 
-class TestDeprecatedShims:
-    def test_repro_experiment_warns_and_works(self, capsys):
-        from repro import cli
-
-        with pytest.warns(DeprecationWarning, match="repro figure"):
-            rc = cli.main(["list"])
-        assert rc == 0
-        assert "fig2" in capsys.readouterr().out
-
-    def test_repro_serve_warns_and_works(self, capsys):
-        from repro.serving import cli
-
-        with pytest.warns(DeprecationWarning, match="repro serve"):
-            rc = cli.main(["--requests", "0"])
-        assert rc == 2  # argument validation still runs after the warning
-
+class TestNoDeprecationWarnings:
     def test_unified_cli_does_not_warn(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

@@ -1,13 +1,15 @@
-"""Smoke tests for the ``repro-serve`` console entry point."""
+"""Smoke tests for ``repro serve``."""
 
 import pytest
 
+from repro.main import build_parser, main
 from repro.serving import cli
 
 
 def test_fixed_policy_run(capsys):
-    rc = cli.main(
+    rc = main(
         [
+            "serve",
             "--backend", "synthetic", "--policy", "singler",
             "--delay", "40", "--prob", "0.5",
             "--requests", "120", "--time-scale", "1e-5",
@@ -22,8 +24,9 @@ def test_fixed_policy_run(capsys):
 
 
 def test_auto_policy_run(capsys):
-    rc = cli.main(
+    rc = main(
         [
+            "serve",
             "--backend", "drifting", "--policy", "auto",
             "--requests", "150", "--time-scale", "1e-5",
             "--report-every", "150",
@@ -35,8 +38,9 @@ def test_auto_policy_run(capsys):
 
 
 def test_none_policy_never_reissues(capsys):
-    rc = cli.main(
+    rc = main(
         [
+            "serve",
             "--backend", "synthetic", "--policy", "none",
             "--probe-fraction", "0",
             "--requests", "80", "--time-scale", "1e-5",
@@ -48,17 +52,18 @@ def test_none_policy_never_reissues(capsys):
 
 
 def test_zero_requests_rejected(capsys):
-    assert cli.main(["--requests", "0"]) == 2
+    assert main(["serve", "--requests", "0"]) == 2
 
 
 def test_zero_report_every_rejected(capsys):
     # report-every 0 would make serve_stream's chunk size 0 and spin.
-    assert cli.main(["--requests", "10", "--report-every", "0"]) == 2
+    assert main(["serve", "--requests", "10", "--report-every", "0"]) == 2
 
 
 def test_small_batch_size_warns_about_dead_drift_path(capsys):
-    rc = cli.main(
+    rc = main(
         [
+            "serve",
             "--backend", "synthetic", "--policy", "auto",
             "--batch-size", "200",
             "--requests", "40", "--time-scale", "0",
@@ -74,10 +79,11 @@ def test_default_batch_size_enables_drift_detection():
     # default must not silently disable the drift path.
     from repro.core.online import DriftDetector
 
-    default = cli.build_parser().get_default("batch_size")
+    default = build_parser().parse_args(["serve"]).batch_size
     assert default >= DriftDetector().min_samples
-    rc = cli.main(
+    rc = main(
         [
+            "serve",
             "--backend", "synthetic", "--policy", "auto",
             "--requests", "40", "--time-scale", "0",
             "--report-every", "40",
@@ -91,8 +97,9 @@ class TestFlagNamingErrors:
     must still name the offending flag and list the valid values."""
 
     def parsed(self, **overrides):
-        args = cli.build_parser().parse_args(
-            ["--requests", "10", "--time-scale", "0", "--report-every", "10"]
+        args = build_parser().parse_args(
+            ["serve", "--requests", "10", "--time-scale", "0",
+             "--report-every", "10"]
         )
         for key, value in overrides.items():
             setattr(args, key, value)

@@ -1,12 +1,14 @@
-"""Tests for the sharded serving fleet: routing, admission, policy
-propagation, and behavior under injected faults (the chaos layer)."""
+"""Tests for the serving fleet's parts (policy store, selectors, the
+in-loop shard) and for what only in-loop shards can show: deterministic
+backends and injected faults (the chaos layer). The front-door contract
+shared by every shard kind is in ``test_serving_contract.py``."""
 
 import asyncio
 
 import numpy as np
 import pytest
 
-from repro.core.policies import NoReissue, ReissuePolicy, SingleR
+from repro.core.policies import NoReissue, SingleR
 from repro.distributions import Deterministic, LogNormal
 from repro.serving.backends import SyntheticBackend
 from repro.serving.chaos import ChaosBackend
@@ -143,13 +145,6 @@ class TestFleetBasics:
                 tuned_shard=5,
             )
 
-    def test_round_robin_spreads_requests_evenly(self):
-        fleet = build_fleet(n_shards=3)
-        asyncio.run(self._drive(fleet, 90))
-        completed = [s.client.metrics.completed for s in fleet.shards]
-        assert completed == [30, 30, 30]
-        assert fleet.completed_total == 90
-
     def test_seed_policy_pins_every_shard(self):
         fleet = build_fleet(policy=SingleR(25.0, 0.4))
         asyncio.run(self._drive(fleet, 10))
@@ -176,19 +171,9 @@ class TestFleetBasics:
         assert results.count(None) == 5
         assert fleet.errors == 5
         assert fleet.shards[0].errors == 5
-        assert fleet.shards[1].client.metrics.completed == 5
-
-    def test_stats_shape(self):
-        fleet = build_fleet()
-        asyncio.run(self._drive(fleet, 20))
+        assert fleet.shards[1].completed == 5
         stats = fleet.stats()
-        assert stats["shards"] == 2
-        assert stats["selector"] == "round-robin"
-        assert stats["completed"] == 20
-        assert len(stats["per_shard"]) == 2
-        for shard_stats in stats["per_shard"]:
-            assert shard_stats["completed"] == 10
-            assert shard_stats["p99_ms"] is not None
+        assert stats["requests"] == stats["completed"] + stats["errors"] == 10
 
     @staticmethod
     async def _drive(fleet, n):
@@ -196,47 +181,6 @@ class TestFleetBasics:
 
 
 class TestAutoTunerPropagation:
-    def test_one_shard_refit_reaches_every_shard_via_store(self):
-        # Acceptance criterion: an AutoTuner refit on shard 0 must be
-        # observed by shards 1 and 2 through the shared PolicyStore.
-        from repro.serving.autotune import AutoTuner
-
-        tuner = AutoTuner(
-            percentile=0.95,
-            budget=0.2,
-            batch_size=50,
-            refit_interval=100,
-            window=1_000,
-            use_correlation=False,
-        )
-        initial = SingleR(0.0, 0.2)
-        fleet = ServingFleet.build(
-            3,
-            synthetic_factory(LogNormal(3.0, 0.6), 0.0),
-            policy=initial,
-            probe_fraction=0.2,
-            tuner=tuner,
-            seed=13,
-        )
-
-        async def drive():
-            for i in range(900):
-                await fleet.request(i)
-
-        asyncio.run(drive())
-        assert tuner.n_refits >= 1, "the tuned shard never refit"
-        fitted = tuner.policy
-        assert isinstance(fitted, ReissuePolicy)
-        assert fitted != initial
-        # The store carries the refit beyond the init publish...
-        assert fleet.store.version >= 2
-        sources = [source for _, source in fleet.store.publishes]
-        assert any(source.startswith("shard0:refit") for source in sources)
-        assert fleet.store.policy == fitted
-        # ...and both untuned shards adopted it.
-        for shard in fleet.shards[1:]:
-            assert shard.client.policy == fitted
-
     def test_tuned_shard_never_subscribes(self):
         # A tuner-carrying client raises on policy assignment; the sync
         # path must publish from it, never write to it.
@@ -253,10 +197,10 @@ class TestAutoTunerPropagation:
 
 
 class TestAdmissionControl:
-    def test_overload_sheds_instead_of_collapsing(self):
-        # An unpaced burst far above capacity: the fleet must shed the
-        # excess at the door while every admitted request is served at
-        # its native latency (no queueing collapse behind a backlog).
+    def test_overload_is_served_at_native_latency(self):
+        # An unpaced burst far above capacity: every admitted request is
+        # served at its native latency (no queueing collapse behind a
+        # backlog).
         fleet = build_fleet(
             n_shards=2,
             dist=Deterministic(20.0),
@@ -267,11 +211,6 @@ class TestAdmissionControl:
         generator = LoadGenerator(fleet, rng=np.random.default_rng(5))
         result = generator.run(300, mode="open", target_rps=0)
         assert result.shed > 0, "overload never shed"
-        assert result.issued == result.completed + result.shed + result.errors
-        assert result.errors == 0
-        for shard in fleet.shards:
-            assert shard.peak_active <= 4
-            assert shard.shed + shard.accepted > 0
         # Admitted requests are served at the backend's deterministic
         # 20 ms — a collapsing fleet would show queue-inflated tails.
         merged = fleet.metrics()

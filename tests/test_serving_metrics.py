@@ -39,14 +39,6 @@ class TestSketchAccuracy:
             exact = float(np.quantile(stream, p))
             assert m.quantile(p) == pytest.approx(exact, rel=0.05)
 
-    def test_p2_fast_path_tracks_tail(self, rng):
-        stream = rng.lognormal(3.0, 0.9, 20_000)
-        m = ServingMetrics()
-        for x in stream:
-            m.record_latency(float(x))
-        exact = float(np.quantile(stream, 0.99))
-        assert m.fast_quantile(0.99) == pytest.approx(exact, rel=0.15)
-
     def test_digest_merge_across_clients(self, rng):
         a, b = ServingMetrics(), ServingMetrics()
         sa = rng.lognormal(3.0, 0.5, 5_000)
@@ -180,9 +172,7 @@ class TestCrossShardMerge:
         merged = a.merge(b)
         for x in range(1, 200):
             merged.record_latency(float(x))
-        # Fresh P2 sketches for the union warm up from post-merge traffic.
-        for p in (0.5, 0.9, 0.99):
-            assert merged.fast_quantile(p) > 0
+        assert sorted(merged.snapshot().quantiles) == [0.5, 0.9, 0.99]
 
 
 # -- property-based merge contract (requires hypothesis) ---------------------

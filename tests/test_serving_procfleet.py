@@ -1,34 +1,30 @@
-"""Tests for the multi-process serving fleet (``repro.serving.procfleet``).
-
-The process-spawning tests keep fleet spins to a minimum — each
-``ProcessFleet`` pays a real ``spawn``-context interpreter start per
-worker — and drive everything through the public front door so the wire
-protocol, the socket-backed policy store, and the death accounting are
-exercised exactly as ``repro loadgen --procs`` uses them.
+"""Tests for the worker-process transport (``repro.serving.procfleet``):
+the wire protocol's framing and its one decoder under hostile bytes, and
+the socket-backed policy store. None of them spawns a process; the front
+door over worker processes is held to the shared contract in
+``test_serving_contract.py``.
 """
 
 import asyncio
-import json
+import pickle
 import socket
-import threading
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.policies import SingleR
 from repro.scenarios import coerce_scenario
+from repro.serving import procfleet
 from repro.serving.fleet import PolicyStore
-from repro.serving.loadgen import (
-    RECORD_VERSION,
-    LoadGenerator,
-    as_record,
-    validate_record,
-)
 from repro.serving.procfleet import (
-    MSG_BYE,
+    MAX_FRAME_BYTES,
     MSG_REQUEST,
     MSG_RESPONSE,
     PolicyStoreServer,
     ProcessFleet,
+    ProtocolError,
     RemotePolicyStore,
     decode_payload,
     encode_frame,
@@ -36,14 +32,47 @@ from repro.serving.procfleet import (
     recv_frame_blocking,
 )
 
-
-def quick_scenario():
-    return coerce_scenario("fleet-tail-quick").check()
-
+MSG_TYPES = sorted(
+    value for name, value in vars(procfleet).items() if name.startswith("MSG_")
+)
 
 # ---------------------------------------------------------------------------
-# Wire protocol (no processes)
+# Wire protocol
 # ---------------------------------------------------------------------------
+
+
+def read_async(data: bytes):
+    """``read_frame`` over ``data`` followed by EOF."""
+
+    async def read():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await asyncio.wait_for(read_frame(reader), timeout=5)
+
+    return asyncio.run(read())
+
+
+def read_blocking(data: bytes, *, close_peer: bool = True):
+    """``recv_frame_blocking`` over ``data``; a reader that waits for
+    bytes that never come times out (an ``OSError``, so a failure)."""
+    peer, sock = socket.socketpair()
+    try:
+        sock.settimeout(5)
+        peer.sendall(data)
+        if close_peer:
+            peer.close()
+        return recv_frame_blocking(sock)
+    finally:
+        peer.close()
+        sock.close()
+
+
+READERS = [read_async, read_blocking]
+
+
+def raw_frame(msg_type: int, payload: bytes) -> bytes:
+    return struct.pack("!I", len(payload) + 1) + bytes((msg_type,)) + payload
 
 
 class TestFraming:
@@ -54,42 +83,96 @@ class TestFraming:
         assert frame[4] == MSG_REQUEST
         assert decode_payload(frame[4], frame[5:]) == body
 
-    def test_pickle_frame_round_trip(self):
-        from repro.serving.metrics import ServingMetrics
+    @pytest.mark.parametrize("reader", READERS)
+    def test_both_readers_decode_a_frame(self, reader):
+        body = {"seq": 1, "qid": 2}
+        assert reader(encode_frame(MSG_RESPONSE, body)) == (MSG_RESPONSE, body)
 
-        metrics = ServingMetrics()
-        frame = encode_frame(MSG_BYE, {"stats": {"x": 1}, "metrics": metrics})
-        decoded = decode_payload(frame[4], frame[5:])
-        assert decoded["stats"] == {"x": 1}
-        assert decoded["metrics"].completed == 0
+    def test_no_frame_type_is_decoded_with_pickle(self):
+        assert len(MSG_TYPES) == len(set(MSG_TYPES)) >= 11
+        blob = pickle.dumps({"seq": 1, "qid": 2})
+        for msg_type in MSG_TYPES:
+            with pytest.raises(ProtocolError):
+                decode_payload(msg_type, blob)
+            assert isinstance(
+                decode_payload(msg_type, b'{"seq":1}'), dict
+            )
+        assert not hasattr(procfleet, "pickle")
 
-    def test_blocking_and_async_readers_agree(self):
-        parent, child = socket.socketpair()
-        try:
-            body = {"seq": 1, "qid": 2}
-            parent.sendall(encode_frame(MSG_RESPONSE, body))
-            msg_type, decoded = recv_frame_blocking(child)
-            assert (msg_type, decoded) == (MSG_RESPONSE, body)
 
-            async def round_trip():
-                reader = asyncio.StreamReader()
-                reader.feed_data(encode_frame(MSG_REQUEST, body))
-                reader.feed_eof()
-                return await read_frame(reader)
+class TestHostileBytes:
+    """Both readers, fed anything: a frame comes back, or the connection
+    is dropped with ``ProtocolError`` / ``IncompleteReadError`` /
+    ``ConnectionError`` — never another exception, never a hang."""
 
-            msg_type, decoded = asyncio.run(round_trip())
-            assert (msg_type, decoded) == (MSG_REQUEST, body)
-        finally:
-            parent.close()
-            child.close()
+    DROPPED = (ProtocolError, asyncio.IncompleteReadError, ConnectionError)
 
-    def test_partial_frame_raises_on_closed_peer(self):
-        parent, child = socket.socketpair()
-        parent.sendall(b"\x00\x00\x00\x10\x01trunc")
-        parent.close()
-        with pytest.raises(ConnectionError):
-            recv_frame_blocking(child)
-        child.close()
+    @pytest.mark.parametrize("reader", READERS)
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\xff\xfe{}", b"{not json", b"[1,2]", b"3", b"null", b'"seq"', b"",
+         b"[" * 100_000],
+        ids=["not-utf8", "not-json", "array", "number", "null", "string",
+             "empty", "nesting-bomb"],
+    )
+    def test_payload_that_is_not_a_json_object(self, reader, payload):
+        with pytest.raises(ProtocolError):
+            reader(raw_frame(MSG_REQUEST, payload))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_unknown_type_byte(self, reader):
+        assert 0xFF not in MSG_TYPES
+        with pytest.raises(ProtocolError, match="type"):
+            reader(raw_frame(0xFF, b"{}"))
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_zero_length_frame(self, reader):
+        with pytest.raises(ProtocolError, match="length"):
+            reader(struct.pack("!I", 0))
+
+    @pytest.mark.parametrize("length", [MAX_FRAME_BYTES + 1, 2**32 - 1])
+    def test_oversize_prefix_is_rejected_before_the_body_is_read(self, length):
+        head = struct.pack("!I", length)
+        with pytest.raises(ProtocolError, match="length"):
+            read_async(head)
+        # The peer stays open and sends nothing more: the reader must
+        # refuse at the prefix, not wait for gigabytes.
+        with pytest.raises(ProtocolError, match="length"):
+            read_blocking(head, close_peer=False)
+
+    def test_largest_frame_is_accepted(self):
+        body = {"pad": "x" * (MAX_FRAME_BYTES - len('{"pad":""}') - 1)}
+        frame = encode_frame(MSG_RESPONSE, body)
+        assert len(frame) == 4 + MAX_FRAME_BYTES
+        assert read_async(frame) == (MSG_RESPONSE, body)
+
+    @pytest.mark.parametrize("reader", READERS)
+    def test_every_truncation_of_a_frame(self, reader):
+        frame = encode_frame(MSG_RESPONSE, {"seq": 1, "qid": 2, "pair": None})
+        for cut in range(len(frame)):
+            with pytest.raises((asyncio.IncompleteReadError, ConnectionError)):
+                reader(frame[:cut])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 255), st.binary(max_size=48))
+    def test_well_framed_garbage(self, msg_type, payload):
+        for reader in READERS:
+            try:
+                got_type, body = reader(raw_frame(msg_type, payload))
+            except ProtocolError:
+                continue
+            assert got_type == msg_type and msg_type in MSG_TYPES
+            assert isinstance(body, dict)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_random_bytes(self, data):
+        for reader in READERS:
+            try:
+                msg_type, body = reader(data)
+            except self.DROPPED:
+                continue
+            assert msg_type in MSG_TYPES and isinstance(body, dict)
 
 
 # ---------------------------------------------------------------------------
@@ -152,161 +235,16 @@ class TestRemotePolicyStore:
 
 
 # ---------------------------------------------------------------------------
-# The process fleet itself
+# The process fleet's constructor (the front door it builds is held to
+# the shared contract in test_serving_contract.py)
 # ---------------------------------------------------------------------------
 
 
-class TestProcessFleet:
-    def test_smoke_counters_metrics_and_record(self, tmp_path):
-        scenario = quick_scenario()
-        fleet = ProcessFleet(
-            2,
-            scenario,
-            policy=scenario.build_policy(),
-            time_scale=0.0,
-            seed=3,
-        )
-        try:
-            generator = LoadGenerator(fleet, rng=3)
-            result = generator.run(80, mode="open", target_rps=0)
-            assert result.issued == 80
-            assert result.completed == 80
-            assert result.transport == "unix"
-            # Per-worker and merged counter identity.
-            stats = fleet.stats()
-            assert stats["transport"] == "unix"
-            assert len(stats["per_shard"]) == 2
-            for worker in stats["per_shard"]:
-                assert (
-                    worker["issued"]
-                    == worker["completed"] + worker["shed"] + worker["errors"]
-                )
-                assert worker["alive"]
-            pids = {worker["pid"] for worker in stats["per_shard"]}
-            assert len(pids) == 2  # real processes, not threads
-            # Merged metrics come from the workers' own sketches.
-            merged = fleet.metrics()
-            assert merged.completed == 80
-            assert merged.quantile(0.99) >= merged.quantile(0.50) > 0
-            # The run shapes into a valid version-2 record.
-            record = as_record(result, scenario.name, {"procs": 2})
-            assert record["version"] == RECORD_VERSION
-            assert record["results"]["transport"] == "unix"
-            assert validate_record(record) == []
-            # Round-trips through JSON (the committed-artifact path).
-            assert validate_record(json.loads(json.dumps(record))) == []
-        finally:
-            fleet.close()
-        # close() is idempotent and reaps every worker.
-        fleet.close()
-        for worker in fleet.workers:
-            assert not worker.process.is_alive()
-
-    def test_refit_on_one_worker_reaches_every_worker(self):
-        # The PR 7 acceptance test, across process boundaries: worker 0
-        # carries the AutoTuner; its refit must land in the parent-side
-        # store (v >= 2) and be adopted by workers 1 and 2 through their
-        # RemotePolicyStore before the run ends.
-        scenario = quick_scenario()
-        initial = SingleR(0.0, 0.2)
-        fleet = ProcessFleet(
-            3,
-            scenario,
-            policy=initial,
-            probe_fraction=0.2,
-            autotune=dict(
-                percentile=0.95,
-                budget=0.2,
-                batch_size=50,
-                refit_interval=100,
-                window=1_000,
-                use_correlation=False,
-            ),
-            time_scale=0.0,
-            seed=7,
-        )
-        try:
-            generator = LoadGenerator(fleet, rng=7)
-            result = generator.run(900, mode="closed", concurrency=8)
-            assert result.issued == 900
-            stats = fleet.stats()
-            tuned = stats["per_shard"][0]
-            assert tuned["refits"] >= 1, "the tuned worker never refit"
-            assert fleet.store.version >= 2
-            sources = [source for _, source in fleet.store.publishes]
-            assert any(s.startswith("shard0:refit") for s in sources)
-            fitted_spec = tuned["policy_spec"]
-            for worker in stats["per_shard"][1:]:
-                assert worker["store_version"] >= 2
-                assert worker["policy_spec"] == fitted_spec
-        finally:
-            fleet.close()
-
-    def test_worker_crash_keeps_front_door_responsive(self):
-        # Kill one worker mid-run: the fleet must keep serving from the
-        # survivor, never hang, and account for every issued request
-        # (in-flight and rerouted-away requests count as shed).
-        scenario = quick_scenario()
-        fleet = ProcessFleet(
-            2,
-            scenario,
-            policy=scenario.build_policy(),
-            time_scale=1e-4,
-            seed=11,
-        )
-        try:
-            killer = threading.Timer(0.03, fleet.workers[1].kill)
-            generator = LoadGenerator(fleet, rng=11)
-            killer.start()
-            result = generator.run(400, mode="open", target_rps=3000)
-            killer.join()
-            assert not fleet.workers[1].alive
-            assert fleet.workers[0].alive
-            assert result.issued == 400
-            assert (
-                result.issued
-                == result.completed + result.shed + result.errors
-            )
-            assert result.completed > 0  # the survivor kept serving
-            stats = fleet.stats()
-            for worker in stats["per_shard"]:
-                assert (
-                    worker["issued"]
-                    == worker["completed"] + worker["shed"] + worker["errors"]
-                )
-            # The dead worker's responses survive in the parent-side
-            # shadow, so the merged counters still balance — and the
-            # record of a crashed run is still schema-valid.
-            record = as_record(result, scenario.name, {"procs": 2})
-            assert validate_record(record) == []
-        finally:
-            fleet.close()
-
-    def test_all_workers_dead_sheds_instead_of_hanging(self):
-        scenario = quick_scenario()
-        fleet = ProcessFleet(
-            1,
-            scenario,
-            policy=scenario.build_policy(),
-            time_scale=0.0,
-            seed=5,
-        )
-        try:
-            fleet.workers[0].kill()
-            fleet.workers[0].process.join(timeout=10)
-
-            async def drive():
-                return [await fleet.request(i) for i in range(5)]
-
-            outcomes = asyncio.run(drive())
-            assert outcomes == [None] * 5
-            assert fleet.shed_total == 5
-        finally:
-            fleet.close()
-
-    def test_constructor_validation(self):
-        scenario = quick_scenario()
-        with pytest.raises(ValueError, match="n_procs"):
-            ProcessFleet(0, scenario)
-        with pytest.raises(ValueError, match="unix, tcp"):
-            ProcessFleet(1, scenario, transport="smoke-signal")
+def test_constructor_validation():
+    scenario = coerce_scenario("fleet-tail-quick").check()
+    with pytest.raises(ValueError, match="n_procs"):
+        ProcessFleet(0, scenario)
+    with pytest.raises(ValueError, match="unix, tcp"):
+        ProcessFleet(1, scenario, transport="smoke-signal")
+    with pytest.raises(ValueError, match="tuned_shard"):
+        ProcessFleet(1, scenario, autotune={}, tuned_shard=3)

@@ -1,51 +1,11 @@
-"""Streaming quantile sketches: P² and t-digest."""
+"""Streaming quantile sketches: the t-digest."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures import P2Quantile, TDigest
-
-
-class TestP2Quantile:
-    def test_small_stream_exact(self):
-        q = P2Quantile(0.5)
-        for x in [5.0, 1.0, 3.0]:
-            q.add(x)
-        assert q.value() == 3.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.5).value()
-
-    def test_bad_p(self):
-        with pytest.raises(ValueError):
-            P2Quantile(0.0)
-        with pytest.raises(ValueError):
-            P2Quantile(1.0)
-
-    @pytest.mark.parametrize("p", [0.5, 0.9, 0.95, 0.99])
-    def test_converges_on_exponential(self, p, rng):
-        data = rng.exponential(10.0, 50000)
-        est = P2Quantile(p)
-        for x in data:
-            est.add(x)
-        true = np.quantile(data, p)
-        assert est.value() == pytest.approx(true, rel=0.08)
-
-    def test_converges_on_uniform(self, rng):
-        data = rng.uniform(0, 1, 20000)
-        est = P2Quantile(0.9)
-        for x in data:
-            est.add(x)
-        assert est.value() == pytest.approx(0.9, abs=0.02)
-
-    def test_count_tracks(self):
-        est = P2Quantile(0.5)
-        for i in range(10):
-            est.add(float(i))
-        assert est.count == 10
+from repro.structures import TDigest
 
 
 class TestTDigest:

@@ -1,5 +1,7 @@
 """Tests for the Lucene substrate (inverted index + search workload, §6.3)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ class TestSearchWorkload:
         assert workload.mean_service() == pytest.approx(39.73, rel=1e-6)
         sample = workload.sample_primary(30_000, np.random.default_rng(0))
         assert sample.mean() == pytest.approx(39.73, rel=0.1)
+
+    def test_work_per_ms_is_the_correctly_rounded_calibration(self, workload):
+        # BLAS ddot accumulates the 50 000-term vocabulary in a
+        # build-dependent order; the fsum value is the one the committed
+        # fig7/fig9 goldens were captured with.
+        e_terms = float(
+            np.dot(
+                np.arange(workload.config.min_terms, workload.config.max_terms + 1),
+                workload._length_p,
+            )
+        )
+        e_work = math.fsum((workload._term_p * workload._work).tolist())
+        assert workload.work_per_ms == e_terms * e_work / (39.73 - workload.overhead_ms)
+        assert workload.work_per_ms == float.fromhex("0x1.46cff6622af39p+6")
 
     def test_paper_profile_shape(self, workload):
         s = workload.sample_primary(40_000, np.random.default_rng(1))
