@@ -12,8 +12,9 @@ Two measurements, recorded into the committed ``BENCH_optimize.json``:
   frozen serial protocol (one ``system.run`` per trial, scalar inner
   refits). Measured with correlation-aware refits disabled so the inner
   sweep is actually exercised (with enough observed pairs both paths
-  share the unchanged §4.2 Fenwick search, and the comparison flattens
-  to ~1x — recorded too, for honesty).
+  call the same §4.2 fitter, ``repro.core.correlated``, so that
+  comparison shows only what batching the replications saves — recorded
+  too, for honesty).
 
 Run standalone to record the perf trajectory::
 
@@ -124,9 +125,10 @@ def measure_simulated(n_queries=6_000, trials=3, repeats=1, seed=42):
             t_serial_corr / t_batched_corr, 2
         ),
         "note": (
-            "correlated refits share the unchanged Fenwick search, so the "
-            "correlation-on comparison isolates the batching overhead; the "
-            "correlation-off comparison shows the vectorized inner refit"
+            "both paths call the same correlated fitter "
+            "(repro.core.correlated), so the correlation-on comparison "
+            "isolates what batching the replications saves; the "
+            "correlation-off comparison adds the vectorized inner refit"
         ),
     }
 

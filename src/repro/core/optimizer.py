@@ -7,9 +7,9 @@
 ``d`` ascends over the sorted log while the tail-latency candidate ``t``
 descends, so the whole search is O(N) after sorting.
 
-Known pseudocode discrepancy (documented in DESIGN.md): the paper's line 13
-returns ``q = 1 - DiscreteCDF(RX, d*)`` which is a survival probability,
-not the budget-consistent reissue probability. We return
+Known pseudocode discrepancy: the paper's line 13 returns
+``q = 1 - DiscreteCDF(RX, d*)`` which is a survival probability, not the
+budget-consistent reissue probability. We return
 ``q = min(1, B / Pr(X >= d*))`` per Eq. (4).
 """
 
@@ -151,11 +151,11 @@ def compute_optimal_singler(
     # the SingleD delay d' cannot spend the budget and is never optimal.
     i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
 
-    # Note a second pseudocode discrepancy (documented in DESIGN.md): the
-    # paper's inner loop decreases t *before* re-checking the success rate,
-    # so its internal t can finish infeasible (harmless there — Figure 1
-    # returns only (d*, q)). Since we also report the predicted tail, we
-    # only commit a smaller t after verifying alpha(t_next, d) >= k.
+    # Note a second pseudocode discrepancy: the paper's inner loop decreases
+    # t *before* re-checking the success rate, so its internal t can finish
+    # infeasible (harmless there — Figure 1 returns only (d*, q)). Since we
+    # also report the predicted tail, we only commit a smaller t after
+    # verifying alpha(t_next, d) >= k.
     while i <= min(j, i_max):
         d = rx[i]
         i += 1

@@ -81,7 +81,7 @@ class ExperimentResult:
 
     ``rows``/``headers`` carry the figure's data (one row per plotted
     point); ``chart`` is the rendered ASCII figure; ``notes`` records
-    shape checks (who won, by how much) for EXPERIMENTS.md.
+    shape checks (who won, by how much).
     """
 
     experiment_id: str

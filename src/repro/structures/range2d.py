@@ -1,18 +1,16 @@
 """Static 2-D orthogonal range counting.
 
-Section 4.2 estimates the conditional CDF ``Pr(Y <= t - d | X > t)`` from a
+Section 4.2 estimates the conditional CDF ``Pr(Y < t - d | X > t)`` from a
 log of (primary, reissue) response-time pairs using an orthogonal range
 query structure. We provide a merge-sort-tree implementation: O(N log N)
-construction, O(log^2 N) per arbitrary query — plus a specialised sweep
-interface (:class:`DominanceSweep`) that exploits the optimizer's monotone
-query pattern to reach O(log N) amortized per step via a Fenwick tree.
+construction, O(log^2 N) per arbitrary query. (The fitter in
+:mod:`repro.core.correlated` queries monotonically and keeps incremental
+counts instead; this tree is the random-access estimator.)
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .fenwick import FenwickTree
 
 
 class MergeSortTree:
@@ -91,61 +89,3 @@ class MergeSortTree:
     def count_x_above(self, x_gt: float) -> int:
         """Points with ``x > x_gt``."""
         return self._n - int(np.searchsorted(self._x, x_gt, side="right"))
-
-
-class DominanceSweep:
-    """Amortized dominance counting for monotone (t, y) query sequences.
-
-    The optimizer queries ``|{X > t, Y < y}|`` with ``t`` non-increasing.
-    Points are pre-sorted by x descending; as ``t`` decreases, newly
-    qualifying points (``x > t``) are inserted into a Fenwick tree keyed by
-    y-rank, and each query is a prefix count. Total cost O(N log N) for any
-    sweep, O(log N) per query.
-    """
-
-    def __init__(self, xs, ys):
-        xs = np.asarray(xs, dtype=np.float64)
-        ys = np.asarray(ys, dtype=np.float64)
-        if xs.shape != ys.shape or xs.ndim != 1:
-            raise ValueError("xs and ys must be equal-length 1-D arrays")
-        if xs.size == 0:
-            raise ValueError("need at least one point")
-        self._n = xs.size
-        desc = np.argsort(-xs, kind="stable")
-        self._x_desc = xs[desc]
-        # y-ranks against the sorted unique-ish y array (ties share ranks
-        # via searchsorted left on the full sorted array).
-        self._y_sorted = np.sort(ys)
-        self._y_rank_desc = np.searchsorted(self._y_sorted, ys[desc], side="left")
-        self._tree = FenwickTree(self._n)
-        self._inserted = 0
-        self._last_t = np.inf
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    def count(self, t: float, y_lt: float) -> int:
-        """``|{X > t, Y < y_lt}|``; successive ``t`` must be non-increasing."""
-        if t > self._last_t:
-            raise ValueError(
-                f"non-monotone sweep: t={t} after t={self._last_t}"
-            )
-        self._last_t = t
-        while self._inserted < self._n and self._x_desc[self._inserted] > t:
-            self._tree.add(int(self._y_rank_desc[self._inserted]))
-            self._inserted += 1
-        y_hi_rank = int(np.searchsorted(self._y_sorted, y_lt, side="left"))
-        return self._tree.prefix_sum(y_hi_rank)
-
-    def count_x_above(self, t: float) -> int:
-        """``|{X > t}|`` at the current sweep position (also advances it)."""
-        if t > self._last_t:
-            raise ValueError(
-                f"non-monotone sweep: t={t} after t={self._last_t}"
-            )
-        self._last_t = t
-        while self._inserted < self._n and self._x_desc[self._inserted] > t:
-            self._tree.add(int(self._y_rank_desc[self._inserted]))
-            self._inserted += 1
-        return self._inserted

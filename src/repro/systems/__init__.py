@@ -8,7 +8,8 @@ The paper's Section 6 evaluates SingleR on two real distributed systems:
 * a **Lucene** enterprise-search server over 33M Wikipedia articles
   (Section 6.3).
 
-We rebuild both as executable substrates (see DESIGN.md "Substitutions"):
+We rebuild both as executable substrates (the §6.2/§6.3 rows of
+docs/paper_map.md name each one's module and tests):
 
 * :mod:`repro.systems.setstore` — an in-memory set store whose
   ``SINTER``-style intersections are actually executed, with a calibrated

@@ -94,7 +94,7 @@ class RedisClusterSystem:
         Cluster width and client connections per server.
     corpus:
         Synthetic corpus parameters; defaults reproduce the paper's
-        service-time profile (see fig9 / EXPERIMENTS.md).
+        service-time profile (see fig9).
     corpus_seed:
         The corpus is built once per system instance with its own seed so
         that policy comparisons at different ``run`` seeds share the same

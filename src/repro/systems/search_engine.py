@@ -16,7 +16,8 @@ We rebuild that mechanism:
   is ``overhead + (scanned postings length) / rate`` where postings
   lengths follow the corpus's Zipf document frequencies and query terms
   are popularity-biased (people search common words). Defaults are
-  calibrated to the paper's measured moments (see EXPERIMENTS.md, fig9).
+  calibrated to the paper's measured moments (the fig9 driver prints both;
+  Fig. 9 row of docs/paper_map.md).
 
 As in :mod:`repro.systems.setstore`, a reissue executes the same query on
 a replica, so its service time equals the primary's; the queueing layer
@@ -213,8 +214,7 @@ class SearchWorkload:
     top-k evaluation with skip lists and early termination: doubling a
     stopword's postings list does not double query time. With the default
     corpus this yields the paper's measured profile — mean ≈ 39.7 ms, std
-    ≈ 22 ms, ≈ 88% of queries in 1-70 ms, ≈ 1% above 100 ms (fig9 /
-    EXPERIMENTS.md).
+    ≈ 22 ms, ≈ 88% of queries in 1-70 ms, ≈ 1% above 100 ms (fig9).
     """
 
     def __init__(

@@ -35,7 +35,8 @@ paper's "queries of death" — is slow. That is exactly the case §6.2
 describes, and it is the only corpus shape under which the reported
 moments (mean ≈ 2.37 ms), the "≈20 of 40 000 queries above 150 ms" count,
 and the 900 ms no-reissue P99 can coexist. The defaults reproduce this
-profile; see EXPERIMENTS.md (fig9) for measured-vs-paper moments.
+profile; the fig9 driver prints measured-vs-paper moments (Fig. 9 row of
+docs/paper_map.md).
 """
 
 from __future__ import annotations

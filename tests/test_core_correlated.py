@@ -9,7 +9,11 @@ from repro.core.correlated import (
     ConditionalReissueCdf,
     compute_optimal_singler_correlated,
 )
-from repro.core.optimizer import compute_optimal_singler
+from repro.core.optimizer import (
+    SingleRFit,
+    compute_optimal_singler,
+    discrete_cdf,
+)
 
 
 def correlated_pairs(n=3000, r=0.5, seed=0):
@@ -21,15 +25,15 @@ def correlated_pairs(n=3000, r=0.5, seed=0):
 
 class TestConditionalCdf:
     def test_matches_naive_count(self):
-        x, y = correlated_pairs(500)
+        # Rounded so that every query value ties with samples: both
+        # inequalities are strict (X == t and Y == y are not counted).
+        x, y = (np.round(a) for a in correlated_pairs(500))
         cond = ConditionalReissueCdf(x, y)
-        for t, yy in [(5.0, 3.0), (10.0, 8.0), (2.0, 50.0)]:
-            above = x > t
-            if above.sum() == 0:
-                expected = 0.0
-            else:
-                expected = float((y[above] <= yy).sum() / above.sum())
-            assert cond(t, yy) == pytest.approx(expected)
+        for t in (2.0, 5.0, 10.0):
+            y_above = y[x > t]
+            yy = float(np.sort(y_above)[y_above.size // 2])
+            assert (x == t).any() and (y_above == yy).sum() > 1
+            assert cond(t, yy) == int((y_above < yy).sum()) / y_above.size
 
     def test_no_mass_above_t(self):
         x = np.array([1.0, 2.0])
@@ -97,6 +101,84 @@ class TestCorrelatedFit:
             compute_optimal_singler_correlated(x, x[:10], y[:5], 0.9, 0.1)
         with pytest.raises(ValueError):
             compute_optimal_singler_correlated(x, x, y, 1.5, 0.1)
+
+
+def figure1_random_access(rx, pair_x, pair_y, percentile, budget):
+    """The §4.2 search as Figure 1 writes it, one stateless lookup per term.
+
+    Every probe is answered from scratch — ``DiscreteCDF`` by binary
+    search on the sorted log, the conditional CDF by a random-access
+    :class:`ConditionalReissueCdf` query — so it shares no sweep state
+    with the fitter it checks.
+    """
+    rx = np.sort(np.asarray(rx, dtype=np.float64))
+    cond = ConditionalReissueCdf(pair_x, pair_y)
+    n = rx.size
+
+    def success_rate(t, d):
+        p_x_lt_t = discrete_cdf(rx, t)
+        q = min(1.0, budget / (1.0 - discrete_cdf(rx, d)))
+        return p_x_lt_t + q * (1.0 - p_x_lt_t) * cond(t, t - d)
+
+    i, j = 0, n - 1
+    d_star, t = rx[0], rx[j]
+    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
+    while i <= min(j, i_max):
+        d = rx[i]
+        i += 1
+        while j > 0 and rx[j - 1] >= d:
+            if success_rate(rx[j - 1], d) < percentile:
+                break
+            j -= 1
+            t, d_star = rx[j], d
+    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
+    return SingleRFit(
+        delay=float(d_star),
+        prob=1.0 if p_x_ge_d <= budget else budget / p_x_ge_d,
+        predicted_tail=float(t),
+        predicted_success=float(success_rate(t, d_star)),
+        baseline_tail=float(np.quantile(rx, percentile, method="higher")),
+        budget=float(budget),
+        percentile=float(percentile),
+    )
+
+
+@st.composite
+def tied_logs(draw):
+    """Logs with ties inside rx, between pair_x and rx, and inside pair_y."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    decimals = draw(st.integers(0, 2))
+    n = draw(st.integers(1, 400))
+    m = draw(st.integers(1, 400))
+    rx = np.round(rng.lognormal(0.5, 1.0, n), decimals)
+    if draw(st.booleans()):  # pairs are a subset of the primary log
+        pair_x = rng.choice(rx, m)
+    else:
+        pair_x = np.round(rng.lognormal(0.5, 1.0, m), decimals)
+    r = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    pair_y = np.round(r * pair_x + rng.lognormal(0.5, 1.0, m), decimals)
+    # Down to 1/n (a single reissue) and up to 1.0 (i_max == 0).
+    budget = draw(st.sampled_from([1.0 / n, 0.01, 0.05, 0.3, 0.9, 1.0]))
+    return rx, pair_x, pair_y, draw(st.sampled_from([0.5, 0.9, 0.99])), budget
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_logs())
+def test_property_bit_for_bit_with_random_access_figure1(logs):
+    rx, pair_x, pair_y, percentile, budget = logs
+    expected = figure1_random_access(rx, pair_x, pair_y, percentile, budget)
+    assert (
+        compute_optimal_singler_correlated(rx, pair_x, pair_y, percentile, budget)
+        == expected
+    )
+    # baseline_tail apart (np.quantile vs the order statistic, equal bits),
+    # the presorted path runs the same statements.
+    assert (
+        compute_optimal_singler_correlated(
+            np.sort(rx), pair_x, pair_y, percentile, budget, presorted=True
+        )
+        == expected
+    )
 
 
 @settings(max_examples=25, deadline=None)

@@ -2,7 +2,8 @@
 
 Scans README.md and every docs/*.md for markdown links; relative links
 (no scheme) must point at a file or directory that exists, anchor
-fragments stripped. External http(s) links are not fetched.
+fragments stripped. External http(s) links are not fetched. Every
+``*.md`` file a module under ``src/`` names must exist too.
 """
 
 import re
@@ -59,3 +60,15 @@ def test_backticked_repo_paths_exist(doc):
         f"{doc.relative_to(REPO_ROOT)} cites paths that do not exist: "
         f"{missing}"
     )
+
+
+def test_markdown_files_named_under_src_exist():
+    """A docstring or comment saying "see FOO.md" must have a FOO.md to
+    see: paths resolve from the repo root, as the citing text writes them."""
+    missing = sorted(
+        f"{source.relative_to(REPO_ROOT)}: {name}"
+        for source in (REPO_ROOT / "src").rglob("*.py")
+        for name in set(re.findall(r"[\w./-]*\w\.md\b", source.read_text()))
+        if not (REPO_ROOT / name).is_file()
+    )
+    assert not missing, f"modules cite markdown files that do not exist: {missing}"

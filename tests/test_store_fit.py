@@ -1,6 +1,7 @@
 """Out-of-core fits are bit-for-bit equal to the in-memory fits."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,32 @@ class TestSolverIntegration:
         )
         assert store.meta["store"] is True
         assert store.policy.to_spec() == mem.policy.to_spec()
+        assert bits(store.fit) == bits(mem.fit)
+
+    def test_correlated_store_fit_allocates_o_pairs(self, tmp_path, rng):
+        """Peak traced allocation is O(pairs), not O(samples): the
+        fitter's "only the (small) pair log lives in RAM"."""
+        samples = rng.lognormal(2.0, 0.6, 200_000)  # 1.6 MB as float64
+        pair_x = rng.choice(samples, 2000)
+        pair_y = 0.5 * pair_x + rng.lognormal(1.0, 0.3, 2000)
+        path = make_store(
+            tmp_path / "big.store",
+            samples,
+            np.column_stack([pair_x, pair_y]),
+            block_records=4096,
+        )
+        kwargs = dict(
+            pair_x=pair_x, pair_y=pair_y, percentile=0.99, budget=0.05
+        )
+        request = FitRequest(rx=EmpiricalStore(path), **kwargs)
+        tracemalloc.start()
+        try:
+            store = solve(request, "correlated")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024, f"peak traced allocation {peak} bytes"
+        mem = solve(FitRequest(rx=samples, **kwargs), "correlated")
         assert bits(store.fit) == bits(mem.fit)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures import DominanceSweep, MergeSortTree
+from repro.structures import MergeSortTree
 
 pts = st.lists(
     st.tuples(
@@ -47,38 +47,3 @@ class TestMergeSortTree:
         t = MergeSortTree(xs, ys)
         expected = int(np.sum((xs > xq) & (ys < yq)))
         assert t.count_dominance(xq, yq) == expected
-
-
-class TestDominanceSweep:
-    def test_matches_tree_on_monotone_queries(self, rng):
-        xs = rng.exponential(5.0, 400)
-        ys = rng.exponential(5.0, 400)
-        tree = MergeSortTree(xs, ys)
-        sweep = DominanceSweep(xs, ys)
-        ts = np.sort(rng.uniform(0, 30, 100))[::-1]
-        for t in ts:
-            y_q = t * 0.7
-            assert sweep.count(t, y_q) == tree.count_dominance(t, y_q)
-
-    def test_count_x_above(self, rng):
-        xs = rng.uniform(0, 10, 200)
-        ys = rng.uniform(0, 10, 200)
-        sweep = DominanceSweep(xs, ys)
-        for t in (8.0, 5.0, 1.0, 0.0):
-            assert sweep.count_x_above(t) == int(np.sum(xs > t))
-
-    def test_non_monotone_rejected(self):
-        sweep = DominanceSweep([1.0, 2.0], [1.0, 2.0])
-        sweep.count(1.5, 1.0)
-        with pytest.raises(ValueError):
-            sweep.count(1.6, 1.0)
-
-    @given(pts)
-    @settings(max_examples=50, deadline=None)
-    def test_property_full_sweep(self, points):
-        xs = np.array([p[0] for p in points])
-        ys = np.array([p[1] for p in points])
-        sweep = DominanceSweep(xs, ys)
-        for t in sorted({p[0] for p in points} | {50.0}, reverse=True):
-            expected = int(np.sum((xs > t) & (ys < t)))
-            assert sweep.count(t, t) == expected
