@@ -1,4 +1,4 @@
-"""Shared helpers for the benchmark harness.
+"""Shared helpers for the paper-shape suite.
 
 Lives in its own module (not conftest.py) because pytest imports every
 conftest.py as the module name ``conftest`` — a bench file doing
@@ -7,15 +7,7 @@ in ``sys.modules`` first (tests/ or benchmarks/), breaking any pytest
 invocation that mixes the two trees.
 """
 
-import json
-import os
-import platform
-import time
-from pathlib import Path
-
 from repro.experiments.common import Scale
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: Scale used by figure benches: small enough for a minutes-long suite,
 #: large enough that the paper's shape checks are meaningful.
@@ -40,23 +32,3 @@ def run_and_report(benchmark, experiment_id, scale=BENCH_SCALE, **kwargs):
     print()
     print(result.render())
     return result
-
-
-def persist_bench_record(name: str, payload: dict) -> Path | None:
-    """Write ``BENCH_<name>.json`` at the repo root (the perf trajectory).
-
-    Returns the path written, or None when persistence is disabled via
-    ``REPRO_BENCH_PERSIST=0``.
-    """
-    if os.environ.get("REPRO_BENCH_PERSIST", "1") == "0":
-        return None
-    record = {
-        "bench": name,
-        "recorded_unix": int(time.time()),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        **payload,
-    }
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(json.dumps(record, indent=2) + "\n")
-    return path

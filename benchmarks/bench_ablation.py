@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the paper's design choices (docs/paper_map.md).
 
 * randomization (q) vs determinism — covered by bench_fig3/bench_fig7;
 * correlation-aware conditional CDF vs the independence assumption;

@@ -23,7 +23,8 @@ def test_fig6_utilization_and_percentiles(benchmark):
     # Paper observation 2: reissue still helps (or at worst breaks even)
     # at 50% utilization, and clearly helps at 20% (paper: up to ~1.5x at
     # 50%; the bench scale is too small to resolve more than break-even
-    # there, see EXPERIMENTS.md for standard-scale numbers).
+    # there; run `repro figure run fig6 --scale standard` for that,
+    # docs/paper_map.md maps the figure to its driver).
     for dist in ("LogNormal(1,1)", "Exp(0.1)"):
         assert best[(dist, 0.5, 0.95)] > 0.98
         assert best[(dist, 0.2, 0.95)] > 1.15

@@ -1,18 +1,11 @@
-"""Shared fixtures for the figure-regeneration benchmark harness.
+"""Shared fixtures for the paper-shape suite.
 
 Each ``bench_figN.py`` regenerates the corresponding paper figure at the
-``quick`` scale inside a pytest-benchmark measurement, prints the figure's
-rows (so ``pytest benchmarks/ --benchmark-only -s`` shows the reproduced
-data), and asserts the paper's qualitative shape. Microbenchmarks for the
-algorithmic claims (O(N log N) optimizer, engine throughput) live in
-``bench_perf.py``; design-choice ablations in ``bench_ablation.py``; the
-batch-simulation speedup bench in ``bench_fastsim.py``.
-
-Any bench can persist a perf-trajectory record with
-``_bench_utils.persist_bench_record``: the payload lands in
-``BENCH_<name>.json`` at the repo root, which is committed so the repo
-carries its own measured history (set ``REPRO_BENCH_PERSIST=0`` to
-suppress writes, e.g. on noisy shared runners). The helpers live in
+reduced ``BENCH_SCALE`` inside a pytest-benchmark measurement, prints
+the figure's rows (so ``pytest benchmarks/ -s`` shows the reproduced
+data), and asserts the paper's qualitative shape; design-choice
+ablations live in ``bench_ablation.py``. Performance is measured by the
+benchmark under ``bench/``, not here. The helpers live in
 ``_bench_utils.py``, not here — importing from ``conftest`` collides
 with ``tests/conftest.py`` in mixed pytest invocations.
 """

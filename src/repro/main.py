@@ -16,7 +16,6 @@ runtime — driven by the declarative Scenario API:
     repro optimize queueing-fit-singler  # solve the objective for a policy
     repro optimize my.toml --solver simulated --trials 8
     repro trace queueing-tail-quick --engine fastsim   # traced run + artifacts
-    repro bench                          # perf suite + regression gate
     repro store pack trace.csv trace.store --sort   # out-of-core trace store
     repro store info trace.store
     repro figure list                    # paper figures
@@ -126,7 +125,7 @@ def _engine_options_from_args(args) -> dict | None:
     """Shared run/trace flag validation → serving engine options.
 
     Returns None (after printing the error) when a flag does not apply
-    to the chosen engine.
+    to the chosen engine or is out of range.
     """
     mismatched = []
     if args.engine != "pipeline":
@@ -143,6 +142,12 @@ def _engine_options_from_args(args) -> dict | None:
         print(
             f"error: {', '.join(mismatched)} does not apply to the "
             f"{args.engine!r} engine",
+            file=sys.stderr,
+        )
+        return None
+    if args.requests is not None and args.requests < 1:
+        print(
+            f"error: --requests must be >= 1, got {args.requests}",
             file=sys.stderr,
         )
         return None
@@ -501,126 +506,6 @@ def run_trace_command(args) -> int:
     return 0
 
 
-# -- repro bench -------------------------------------------------------------
-
-
-def configure_bench_parser(parser: argparse.ArgumentParser) -> None:
-    from .bench import BASELINE_WINDOW, REGRESSION_THRESHOLD, SUITE
-
-    parser.add_argument(
-        "--history",
-        type=Path,
-        default=Path("BENCH_history.jsonl"),
-        metavar="FILE",
-        help="perf-trajectory file to append to and gate against "
-        "(default: ./BENCH_history.jsonl)",
-    )
-    parser.add_argument(
-        "--only",
-        action="append",
-        choices=sorted(SUITE),
-        default=None,
-        metavar="BENCH",
-        help="run just this bench (repeatable; default: the whole suite)",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=2,
-        help="timing repeats per measurement, best-of (default: 2)",
-    )
-    parser.add_argument(
-        "--threshold",
-        type=float,
-        default=REGRESSION_THRESHOLD,
-        help="regression gate: fail when a speedup drops more than this "
-        f"fraction below the baseline (default: {REGRESSION_THRESHOLD})",
-    )
-    parser.add_argument(
-        "--check-only",
-        action="store_true",
-        help="skip the suite; just gate the newest history record "
-        f"against the median of the previous {BASELINE_WINDOW}",
-    )
-    parser.add_argument(
-        "--no-append",
-        action="store_true",
-        help="run the suite but leave the history file untouched",
-    )
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the record and gate outcome as JSON",
-    )
-
-
-def run_bench_command(args) -> int:
-    from . import bench
-
-    try:
-        history = bench.load_history(args.history)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.check_only:
-        if not history:
-            print(f"error: no history at {args.history}", file=sys.stderr)
-            return 2
-        record = history[-1]
-    else:
-        try:
-            record = bench.run_suite(repeats=args.repeats, only=args.only)
-        except (KeyError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        history = [*history, record]
-        if not args.no_append:
-            bench.append_history(args.history, record)
-
-    gate = bench.check_regressions(history, threshold=args.threshold)
-
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "record": record,
-                    "history_records": len(history),
-                    "checked": gate.checked,
-                    "skipped": gate.skipped,
-                    "regressions": [vars(r) for r in gate.regressions],
-                    "ok": gate.ok,
-                },
-                indent=2,
-                default=float,
-            )
-        )
-    else:
-        print(bench.render_record(record))
-        print()
-        print(bench.render_trend(history))
-        print()
-        if record.get("skipped_benches"):
-            print(
-                "skipped on this machine: "
-                + ", ".join(record["skipped_benches"])
-                + " (install the [fast] extra for the compiled kernel tier)"
-            )
-        if gate.skipped:
-            print(f"no prior data (pass): {', '.join(gate.skipped)}")
-        for reg in gate.regressions:
-            print(f"REGRESSION {reg.describe()}")
-        if gate.ok:
-            gated = len(gate.checked)
-            print(
-                f"gate ok: {gated} metric(s) within "
-                f"{args.threshold:.0%} of baseline"
-                if gated
-                else "gate ok: nothing to compare yet"
-            )
-    return 0 if gate.ok else 1
-
-
 # -- the umbrella parser -----------------------------------------------------
 
 
@@ -657,12 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
         "trace artifacts",
     )
     configure_trace_parser(trace_p)
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the perf suite, append the trajectory, gate regressions",
-    )
-    configure_bench_parser(bench_p)
 
     store_p = sub.add_parser(
         "store",
@@ -706,8 +585,6 @@ def main(argv=None) -> int:
         return run_scenarios_command(args)
     if args.command == "trace":
         return run_trace_command(args)
-    if args.command == "bench":
-        return run_bench_command(args)
     if args.command == "store":
         return run_store_command(args)
     if args.command == "figure":

@@ -338,8 +338,8 @@ def fit_singler_grid(
     but every round's K trial replications are grouped into one
     :func:`repro.fastsim.run_policy_batch` call, and the final
     best-trial and corner probes batch the same way. The per-trial refit
-    inside each chain is the vectorized empirical sweep, which is where
-    the measured fitting speedup comes from (``BENCH_optimize.json``).
+    inside each chain is the vectorized empirical sweep (or the §4.2
+    correlated fitter once enough probe pairs are observed).
     """
     from ..core.adaptive import AdaptiveResult, AdaptiveSingleROptimizer
     from ..fastsim import run_policy_batch

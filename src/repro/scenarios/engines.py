@@ -398,7 +398,9 @@ def run_serving(
     from ..serving.hedge import HedgedClient
 
     policy = scenario.build_policy()
-    n_requests = requests or scenario.scale.n_queries or 2_000
+    n_requests = (
+        requests if requests is not None else scenario.scale.n_queries or 2_000
+    )
     runs: list[RunResult] = []
     for seed in seeds:
         backend_seq, client_seq = np.random.SeedSequence(int(seed)).spawn(2)

@@ -397,6 +397,8 @@ def _validate_loadgen_args(args) -> str | None:
         )
     if args.shards < 1:
         return f"--shards must be >= 1, got {args.shards}"
+    if args.requests is not None and args.requests < 1:
+        return f"--requests must be >= 1, got {args.requests}"
     if args.mode == "closed" and args.rps is not None:
         return (
             "--rps applies only to --mode open (closed loops are paced "
@@ -512,7 +514,11 @@ def run_loadgen_command(args) -> int:
                 **fleet_kwargs,
             )
         generator = LoadGenerator(fleet, rng=np.random.default_rng(gen_seq))
-        n_requests = args.requests or scenario.scale.n_queries or 2_000
+        n_requests = (
+            args.requests
+            if args.requests is not None
+            else scenario.scale.n_queries or 2_000
+        )
         target_rps = None
         if args.mode == "open":
             target_rps = 20_000.0 if args.rps is None else args.rps

@@ -2,8 +2,9 @@
 
 Scans README.md and every docs/*.md for markdown links; relative links
 (no scheme) must point at a file or directory that exists, anchor
-fragments stripped. External http(s) links are not fetched. Every
-``*.md`` file a module under ``src/`` names must exist too.
+fragments stripped. External http(s) links are not fetched. Backticked
+repo paths and root records must exist, and so must every ``*.md`` file
+a module under ``src/`` or ``benchmarks/`` names.
 """
 
 import re
@@ -47,11 +48,14 @@ def test_relative_links_resolve(doc):
 
 @pytest.mark.parametrize("doc", doc_files(), ids=lambda p: p.name)
 def test_backticked_repo_paths_exist(doc):
-    """Paths named in backticks like `src/repro/...` or `tests/...` must
-    exist — docs that cite modules rot fastest."""
+    """Paths named in backticks like `src/repro/...` or `tests/...`, and
+    repo-root records like `BENCH_x.json` or `x.jsonl`, must exist —
+    docs that cite modules or records rot fastest."""
     text = doc.read_text()
     cited = re.findall(
-        r"`((?:src|tests|docs|benchmarks|examples)/[\w./-]+?)`", text
+        r"`((?:src|tests|docs|benchmarks|examples)/[\w./-]+?"
+        r"|BENCH_[\w-]+\.json|[\w.-]+\.jsonl)`",
+        text,
     )
     missing = sorted(
         {c for c in cited if not (REPO_ROOT / c.split("::")[0]).exists()}
@@ -64,10 +68,15 @@ def test_backticked_repo_paths_exist(doc):
 
 def test_markdown_files_named_under_src_exist():
     """A docstring or comment saying "see FOO.md" must have a FOO.md to
-    see: paths resolve from the repo root, as the citing text writes them."""
+    see: paths resolve from the repo root, as the citing text writes them.
+    The paper-shape suite under ``benchmarks/`` is held to the same rule."""
+    sources = [
+        *(REPO_ROOT / "src").rglob("*.py"),
+        *(REPO_ROOT / "benchmarks").glob("*.py"),
+    ]
     missing = sorted(
         f"{source.relative_to(REPO_ROOT)}: {name}"
-        for source in (REPO_ROOT / "src").rglob("*.py")
+        for source in sources
         for name in set(re.findall(r"[\w./-]*\w\.md\b", source.read_text()))
         if not (REPO_ROOT / name).is_file()
     )

@@ -151,6 +151,11 @@ class TestLoadgenArgumentErrors:
     def test_bad_shards(self, capsys):
         assert "--shards" in self.err(capsys, "--shards", "0")
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_requests_below_one(self, n, capsys):
+        err = self.err(capsys, "--requests", n, "--no-write")
+        assert f"--requests must be >= 1, got {n}" in err
+
     def test_negative_rps(self, capsys):
         assert "--rps" in self.err(capsys, "--rps", "-5")
 

@@ -214,17 +214,29 @@ class TestSimulatedSolver:
 
     def test_grid_bit_for_bit_with_serial_fits(self):
         """The batched lockstep grid == one serial fit per budget."""
+        self.assert_grid_matches_serial(use_correlation=True)
+
+    def test_grid_bit_for_bit_with_serial_fits_uncorrelated(self):
+        """... and so it stays when every refit is the empirical sweep."""
+        self.assert_grid_matches_serial(use_correlation=False)
+
+    @staticmethod
+    def assert_grid_matches_serial(use_correlation):
         system = quick_system()
         budgets = (0.05, 0.1, 0.25)
         result = solve(
             FitRequest(
                 percentile=0.95, budget=0.1, system=system,
                 seed=42, trials=3, budgets=budgets,
+                options={"use_correlation": use_correlation},
             ),
             "simulated",
         )
         serial = [
-            fit_singler_protocol(system, 0.95, b, trials=3, rng=as_rng(42))
+            fit_singler_protocol(
+                system, 0.95, b, trials=3, rng=as_rng(42),
+                use_correlation=use_correlation,
+            )
             for b in budgets
         ]
         assert list(result.policies) == serial

@@ -102,6 +102,15 @@ class TestRunSubcommand:
         err = capsys.readouterr().err
         assert flags[0] in err and engine in err
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    def test_zero_requests_is_rejected_not_defaulted(self, command, capsys):
+        rc = main(
+            [command, "queueing-tail-quick", "--engine", "serving",
+             "--requests", "0"]
+        )
+        assert rc == 2
+        assert "--requests must be >= 1, got 0" in capsys.readouterr().err
+
     def test_run_invalid_scenario_lists_problems(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"
         bad.write_text(

@@ -273,6 +273,7 @@ class TestAdmissionControl:
         run(client.serve(32))
         assert client.peak_in_flight == limit  # saturated but capped
         assert client.in_flight == 0
+        assert client.metrics.completed == 32  # every admitted one recorded
         # Backend attempts are bounded by limit * attempts-per-request.
         assert be.peak_in_flight <= limit
 
@@ -283,6 +284,7 @@ class TestAdmissionControl:
         run(client.serve(12))
         assert client.peak_in_flight <= limit
         assert be.peak_in_flight <= 2 * limit  # primary + duplicate each
+        assert client.metrics.completed == 12
 
     def test_invalid_concurrency_rejected(self):
         be = FixedBackend(primary_ms=5.0, reissue_ms=1.0)

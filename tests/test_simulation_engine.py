@@ -7,7 +7,7 @@ from repro.core.policies import ImmediateReissue, NoReissue, SingleD, SingleR
 from repro.distributions import Exponential, Pareto, Uniform
 from repro.simulation.arrivals import PoissonArrivals
 from repro.simulation.engine import ClusterConfig, simulate_cluster
-from repro.simulation.workloads import ServiceModel
+from repro.simulation.workloads import ServiceModel, queueing_workload
 
 
 def make_config(**over):
@@ -163,6 +163,9 @@ class TestWarmup:
         run = simulate_cluster(cfg, NoReissue(), 0)
         assert run.n_queries == 750
         assert run.meta["n_measured"] == 750
+        # The paper's workloads measure all but the first 5% of queries.
+        system = queueing_workload(n_queries=2000, utilization=0.3)
+        assert system.run(NoReissue(), np.random.default_rng(3)).n_queries == 1900
 
     def test_determinism_same_seed(self):
         a = simulate_cluster(make_config(), SingleR(0.5, 0.5), 11)

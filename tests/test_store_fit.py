@@ -20,11 +20,22 @@ from repro.optimize.vectorized import (
     compute_optimal_singler_vectorized,
 )
 from repro.store import EmpiricalStore, StoreNotSortedError, TraceWriter
+from repro.store.format import DEFAULT_BLOCK_RECORDS
 
 
 def bits(fit):
     """Exact float identity, not approx: the tentpole contract."""
     return dataclasses.astuple(fit)
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_store(path, samples, pairs=None, *, block_records=64):
@@ -162,14 +173,29 @@ class TestSolverIntegration:
             pair_x=pair_x, pair_y=pair_y, percentile=0.99, budget=0.05
         )
         request = FitRequest(rx=EmpiricalStore(path), **kwargs)
-        tracemalloc.start()
-        try:
-            store = solve(request, "correlated")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        store, peak = traced_peak(solve, request, "correlated")
         assert peak < 512 * 1024, f"peak traced allocation {peak} bytes"
         mem = solve(FitRequest(rx=samples, **kwargs), "correlated")
+        assert bits(store.fit) == bits(mem.fit)
+
+    def test_empirical_store_fit_memory_is_bounded(self, tmp_path, rng):
+        """A 1M-sample fit from the store peaks at a fixed working set
+        (~25 MB traced, the same at 2M), far below the resident fit's
+        ~210 MB; the answer stays bit-for-bit the resident one."""
+        samples = rng.lognormal(2.0, 0.6, 1_000_000)
+        path = make_store(
+            tmp_path / "large.store", samples,
+            block_records=DEFAULT_BLOCK_RECORDS,
+        )
+        kwargs = dict(percentile=0.99, budget=0.05)
+        store, peak = traced_peak(
+            solve, FitRequest(rx=EmpiricalStore(path), **kwargs), "empirical"
+        )
+        assert peak < 32 * 2**20, f"peak traced allocation {peak} bytes"
+        mem, resident_peak = traced_peak(
+            solve, FitRequest(rx=samples, **kwargs), "empirical"
+        )
+        assert resident_peak > 32 * 2**20  # the bound tells the paths apart
         assert bits(store.fit) == bits(mem.fit)
 
 
