@@ -97,7 +97,7 @@ class _SpillPickler(pickle.Pickler):
 class _SpillUnpickler(pickle.Unpickler):
     """Unpickler that restores spilled arrays from the store sidecar."""
 
-    def __init__(self, fh, store_path: Path):
+    def __init__(self, fh, store_path: str | os.PathLike):
         super().__init__(fh)
         self._store_path = store_path
         self._reader = None
@@ -120,12 +120,18 @@ class ResultCache:
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = os.fspath(self.root)
+
+    def _entry(self, fp: str) -> str:
+        """``<root>/<fp[:2]>/<fp>``: the entry's path minus its suffix,
+        built as a string (``get`` is on every warm replay's path)."""
+        return f"{self._root}/{fp[:2]}/{fp}"
 
     def _path(self, fp: str) -> Path:
-        return self.root / fp[:2] / f"{fp}.pkl"
+        return Path(f"{self._entry(fp)}.pkl")
 
     def _store_path(self, fp: str) -> Path:
-        return self.root / fp[:2] / f"{fp}.store"
+        return Path(f"{self._entry(fp)}.store")
 
     def get(self, fp: str, default=None):
         """The cached value for ``fp``; ``default`` on miss or corruption.
@@ -136,10 +142,10 @@ class ResultCache:
         (AttributeError/ImportError) — because the contract is
         "recompute when the cache can't serve", never "crash the run".
         """
-        path = self._path(fp)
+        entry = self._entry(fp)
         try:
-            with path.open("rb") as fh:
-                return _SpillUnpickler(fh, self._store_path(fp)).load()
+            with open(f"{entry}.pkl", "rb") as fh:
+                return _SpillUnpickler(fh, f"{entry}.store").load()
         except Exception:
             return default
 

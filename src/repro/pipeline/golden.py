@@ -1,8 +1,9 @@
 """Stable digests of experiment rows for golden-equivalence tests.
 
 The pipeline refactor's contract is that every figure's ``rows`` are
-bit-for-bit identical to the pre-refactor drivers. Rather than committing
-megabytes of CSV, the golden tests commit a content digest per figure.
+bit-for-bit identical to the pre-refactor drivers. The golden tests commit
+a content digest per figure, plus each row's short digest and canonical
+values so that a mismatch can name the first cell that moved.
 The serialization below is intentionally explicit (no ``json.dumps``
 float formatting surprises): every scalar is tagged with its type and
 floats use ``repr(float(v))``, which round-trips IEEE doubles exactly.
@@ -31,10 +32,21 @@ def canonical_value(v) -> str:
     raise TypeError(f"unsupported row value type {type(v).__name__}: {v!r}")
 
 
+def canonical_row(row: Sequence) -> list[str]:
+    """The row's entries in :func:`canonical_value` form."""
+    return [canonical_value(v) for v in row]
+
+
+def row_digest(row: Sequence) -> str:
+    """Short SHA-256 of one row: enough to find the first row that moved
+    (the figure digest, not this, is what a golden pins)."""
+    return hashlib.sha256("\x1f".join(canonical_row(row)).encode()).hexdigest()[:16]
+
+
 def rows_digest(rows: Iterable[Sequence]) -> str:
     """SHA-256 over the canonical serialization of ``rows``."""
     h = hashlib.sha256()
     for row in rows:
-        h.update("\x1f".join(canonical_value(v) for v in row).encode())
+        h.update("\x1f".join(canonical_row(row)).encode())
         h.update(b"\x1e")
     return h.hexdigest()

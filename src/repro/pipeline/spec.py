@@ -16,8 +16,9 @@ single cell whose requested percentiles are unioned.
 from __future__ import annotations
 
 import inspect
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 from .fingerprint import fingerprint
 
@@ -175,7 +176,13 @@ class Results:
         return median_tail_reduce([self[h] for h in handles], percentile)
 
 
+#: Parameter types that can hold no cell reference (checked by exact type).
+_LITERALS = frozenset({type(None), bool, int, float, str})
+
+
 def _contains_ref(v: Any) -> bool:
+    if type(v) in _LITERALS:
+        return False
     if isinstance(v, (Ref, Handle)):
         return True
     if isinstance(v, (tuple, list)):
@@ -197,7 +204,9 @@ def _split_params(kwargs: Mapping[str, Any]):
     params: dict[str, Any] = {}
     deps: dict[str, Ref | tuple[Ref, ...]] = {}
     for name, v in kwargs.items():
-        if isinstance(v, Handle):
+        if type(v) in _LITERALS:
+            params[name] = v
+        elif isinstance(v, Handle):
             deps[name] = v.ref()
         elif isinstance(v, Ref):
             deps[name] = v
@@ -258,9 +267,35 @@ class SpecBuilder:
         another percentile — returns the existing cell with the percentile
         and measure sets unioned, so the run executes once.
         """
-        from .cells import evaluate_replication
+        policy, identity = self._replication(system, policy)
+        return self._evaluate(
+            identity, system, policy, seed, percentiles, measure, key
+        )
 
-        self._eval_requests += 1
+    def evaluate_seeds(
+        self,
+        system: SystemRef,
+        policy,
+        seeds: Sequence[int],
+        percentile: float | Sequence[float],
+        measure: Sequence[str] = DEFAULT_MEASURE,
+    ) -> list[Handle]:
+        """The figure drivers' shape: one policy, seed-paired replications."""
+        scalar = isinstance(percentile, (int, float)) and not isinstance(
+            percentile, bool
+        )
+        pcts = (percentile,) if scalar else tuple(percentile)
+        policy, identity = self._replication(system, policy)
+        return [
+            self._evaluate(identity, system, policy, s, pcts, measure, None)
+            for s in seeds
+        ]
+
+    @staticmethod
+    def _replication(system: SystemRef, policy) -> tuple[Any, tuple]:
+        """``policy`` as a :class:`Ref` or a value, and the (system,
+        policy) identity every seed of it shares — fingerprinted once per
+        declaration, not once per seed."""
         if isinstance(policy, Handle):
             policy = policy.ref()
         pol_id = (
@@ -268,7 +303,22 @@ class SpecBuilder:
             if isinstance(policy, Ref)
             else ("val", fingerprint(policy))
         )
-        identity = (fingerprint(system), pol_id, int(seed))
+        return policy, (fingerprint(system), pol_id)
+
+    def _evaluate(
+        self,
+        identity: tuple,
+        system: SystemRef,
+        policy,
+        seed: int,
+        percentiles: Sequence[float],
+        measure: Sequence[str],
+        key: str | None,
+    ) -> Handle:
+        from .cells import evaluate_replication
+
+        self._eval_requests += 1
+        identity = (*identity, int(seed))
         existing = self._eval_index.get(identity)
         if existing is not None:
             cell = self._cells[existing]
@@ -292,24 +342,6 @@ class SpecBuilder:
         )
         self._eval_index[identity] = key
         return handle
-
-    def evaluate_seeds(
-        self,
-        system: SystemRef,
-        policy,
-        seeds: Sequence[int],
-        percentile: float | Sequence[float],
-        measure: Sequence[str] = DEFAULT_MEASURE,
-    ) -> list[Handle]:
-        """The figure drivers' shape: one policy, seed-paired replications."""
-        scalar = isinstance(percentile, (int, float)) and not isinstance(
-            percentile, bool
-        )
-        pcts = (percentile,) if scalar else tuple(percentile)
-        return [
-            self.evaluate(system, policy, s, percentiles=pcts, measure=measure)
-            for s in seeds
-        ]
 
     def median_tail_cell(
         self, key: str, runs: Sequence[Handle], percentile: float

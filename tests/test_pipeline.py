@@ -18,7 +18,7 @@ from repro.pipeline import (
     run_pipeline,
 )
 from repro.pipeline.cells import evaluate_replication
-from repro.pipeline.spec import Ref, system_ref
+from repro.pipeline.spec import Ref, SystemRef, system_ref
 from repro.simulation.workloads import independent_workload, queueing_workload
 
 TINY = Scale(
@@ -71,15 +71,29 @@ class TestFingerprint:
         )
 
     def test_callables_by_qualname_only(self):
+        def local_fn():
+            return 0
+
         assert fingerprint(add_cell) == fingerprint(add_cell)
-        with pytest.raises(TypeError, match="module-level"):
-            fingerprint(lambda: 0)
+        for bad in (lambda: 0, local_fn, SystemRef(lambda: 0, ())):
+            with pytest.raises(TypeError, match="module-level"):
+                fingerprint(bad)
+
+    def test_dict_keys_of_different_types_do_not_collide(self):
+        assert fingerprint({1: "a"}) != fingerprint({"1": "a"})
+        assert fingerprint({(1, 2): 0}) != fingerprint({"(1, 2)": 0})
+
+    def test_mixed_key_dict_ignores_insertion_order(self):
+        assert fingerprint({1: "x", "1": "y"}) == fingerprint({"1": "y", 1: "x"})
+        assert fingerprint({1: "x", "1": "y"}) != fingerprint({1: "y", "1": "x"})
 
     def test_stateful_values_rejected(self):
         with pytest.raises(TypeError):
             fingerprint(np.random.default_rng(0))
         with pytest.raises(TypeError):
             fingerprint(iter([1, 2]))
+        with pytest.raises(TypeError):
+            fingerprint(x for x in ())
 
 
 class TestSystemRef:

@@ -5,8 +5,10 @@ The pipeline refactor's contract, enforced here across fig2–fig9 at
 
 * **Golden**: every figure's ``rows`` are bit-for-bit identical to the
   pre-refactor serial drivers (digests committed in
-  ``tests/goldens/experiment_rows_quick.json``, captured at the PR 2
-  state).
+  ``tests/goldens/experiment_rows_quick.json``). Beside each digest the
+  file keeps every row's short digest and canonical values, so a
+  mismatch names the first row and cell that moved and how far, in ulps —
+  the diagnosis a drifting numpy/scipy needs.
 * **Determinism**: a process-parallel run and a cache-replayed run both
   reproduce the serial rows exactly.
 * **Dedupe**: the planner/builder merge the replications the figures
@@ -22,7 +24,7 @@ import pytest
 import scipy
 
 from repro.experiments import run_experiment
-from repro.pipeline.golden import rows_digest
+from repro.pipeline.golden import canonical_row, row_digest, rows_digest
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "experiment_rows_quick.json").read_text()
@@ -53,15 +55,79 @@ def figure_runs(request, tmp_path_factory):
     return eid, serial, parallel, cached
 
 
+def _ulps(golden: str, got: str) -> str:
+    """Ulp distance between two canonical floats (``f:<repr>``), or ''."""
+    if not (golden.startswith("f:") and got.startswith("f:")):
+        return ""
+    bits = np.array([float(golden[2:]), float(got[2:])]).view(np.int64)
+    a, b = (int(k) if k >= 0 else -(int(k) & 0x7FFF_FFFF_FFFF_FFFF) for k in bits)
+    return f" ({abs(a - b)} ulp apart)"
+
+
+def first_difference(eid: str, rows) -> str:
+    """Where ``rows`` first leave the golden: row, column, both values."""
+    golden = GOLDENS["figures"][eid]
+    headers = golden["headers"]
+    for i, (row, digest, want) in enumerate(
+        zip(rows, golden["row_digests"], golden["rows"])
+    ):
+        if row_digest(row) == digest:
+            continue
+        got = canonical_row(row)
+        for col, (w, g) in enumerate(zip(want, got)):
+            if w != g:
+                return (
+                    f"row {i}, column {col} ({headers[col]}): "
+                    f"golden {w}, got {g}{_ulps(w, g)}"
+                )
+        return f"row {i}: golden has {len(want)} values, got {len(got)}"
+    return f"golden has {len(golden['rows'])} rows, got {len(rows)}"
+
+
 def test_serial_rows_match_pre_refactor_golden(figure_runs):
     eid, serial, _, _ = figure_runs
     golden = GOLDENS["figures"][eid]
-    assert len(serial.rows) == golden["n_rows"]
     assert serial.headers == golden["headers"]
-    assert rows_digest(serial.rows) == golden["digest"], (
-        f"{eid}: rows diverged from the pre-pipeline serial driver "
-        f"(numpy {np.__version__}, scipy {scipy.__version__})"
-    )
+    if rows_digest(serial.rows) != golden["digest"]:
+        pytest.fail(
+            f"{eid}: rows diverged from the pre-pipeline serial driver at "
+            f"{first_difference(eid, serial.rows)} (numpy {np.__version__}, "
+            f"scipy {scipy.__version__}; golden captured on numpy "
+            f"{GOLDENS['meta']['numpy']}, scipy {GOLDENS['meta']['scipy']})"
+        )
+    assert len(serial.rows) == golden["n_rows"]
+
+
+def _decoded(eid: str) -> list[list]:
+    """The golden rows as values (inverse of ``canonical_value`` for the
+    tags the goldens use)."""
+    decode = {"b": lambda t: t == "True", "i": int, "f": float, "s": str}
+    return [
+        [decode[tag](text) for tag, text in (v.split(":", 1) for v in row)]
+        for row in GOLDENS["figures"][eid]["rows"]
+    ]
+
+
+@pytest.mark.parametrize("eid", FIGURES)
+def test_golden_rows_reproduce_their_digests(eid):
+    """The stored rows are the ones the figure digest was taken over."""
+    golden = GOLDENS["figures"][eid]
+    rows = _decoded(eid)
+    assert [canonical_row(row) for row in rows] == golden["rows"]
+    assert rows_digest(rows) == golden["digest"]
+    assert [row_digest(row) for row in rows] == golden["row_digests"]
+    assert len(rows) == golden["n_rows"]
+
+
+def test_mismatch_names_first_differing_cell():
+    golden = GOLDENS["figures"]["fig3"]
+    rows = _decoded("fig3")
+    assert first_difference("fig3", rows[:-1]) == "golden has 24 rows, got 23"
+    col = golden["headers"].index("p95")
+    rows[5][col] = float(np.nextafter(rows[5][col], np.inf))
+    message = first_difference("fig3", rows)
+    assert message.startswith("row 5, column 6 (p95): golden f:")
+    assert message.endswith("(1 ulp apart)")
 
 
 def test_parallel_equals_serial(figure_runs):
