@@ -89,6 +89,24 @@ def quantile_higher_sorted(sorted_samples: np.ndarray, p: float) -> float:
     return float(sorted_samples[idx])
 
 
+def check_fit_inputs(
+    rx_sorted: np.ndarray, ry_sorted: np.ndarray, percentile: float, budget: float
+) -> None:
+    """Reject what no Figure-1 sweep can fit, in O(1).
+
+    ``np.sort`` puts NaN last, so on sorted logs the last element is the
+    only one that needs looking at.
+    """
+    if rx_sorted.size == 0 or ry_sorted.size == 0:
+        raise ValueError("rx and ry must be non-empty")
+    if np.isnan(rx_sorted[-1]) or np.isnan(ry_sorted[-1]):
+        raise ValueError("rx and ry must not contain NaN")
+    if not 0.0 < percentile < 1.0:
+        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
+    if not 0.0 < budget <= 1.0:
+        raise ValueError(f"budget must be in (0, 1], got {budget}")
+
+
 def singler_success_rate(
     rx_sorted: np.ndarray,
     ry_sorted: np.ndarray,
@@ -135,12 +153,7 @@ def compute_optimal_singler(
     """
     rx = np.sort(np.asarray(rx, dtype=np.float64))
     ry = np.sort(np.asarray(ry, dtype=np.float64))
-    if rx.size == 0 or ry.size == 0:
-        raise ValueError("rx and ry must be non-empty")
-    if not 0.0 < percentile < 1.0:
-        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"budget must be in (0, 1], got {budget}")
+    check_fit_inputs(rx, ry, percentile, budget)
 
     n = rx.size
     i = 0  # index of the next candidate reissue time d (ascending)
@@ -197,12 +210,7 @@ def compute_optimal_singled(
     """
     rx = np.sort(np.asarray(rx, dtype=np.float64))
     ry = np.sort(np.asarray(ry, dtype=np.float64))
-    if rx.size == 0 or ry.size == 0:
-        raise ValueError("rx and ry must be non-empty")
-    if not 0.0 < percentile < 1.0:
-        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"budget must be in (0, 1], got {budget}")
+    check_fit_inputs(rx, ry, percentile, budget)
 
     n = rx.size
     # Smallest d in the log with fraction of samples >= d at most B:

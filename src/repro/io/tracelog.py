@@ -78,8 +78,13 @@ class TraceLog:
             raise ValueError("pair_x and pair_y must have equal length")
         if self.primary.ndim != 1 or self.pair_x.ndim != 1:
             raise ValueError("trace arrays must be 1-D")
-        if self.primary.size and float(self.primary.min()) < 0.0:
-            raise ValueError("response times must be non-negative")
+        for name in ("primary", "pair_x", "pair_y"):
+            arr = getattr(self, name)
+            # ``min`` propagates NaN, and ``nan >= 0`` is False.
+            if arr.size and not float(arr.min()) >= 0.0:
+                raise ValueError(
+                    f"{name}: response times must be non-negative numbers"
+                )
 
     @property
     def n_primary(self) -> int:
@@ -129,11 +134,21 @@ def is_store_path(path) -> bool:
         return False
 
 
+def _response_time(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # also False for NaN
+        raise ValueError(
+            f"response time must be a non-negative number, got {text!r}"
+        )
+    return value
+
+
 def _parse_rows(path: Path, fh) -> Iterator[tuple[str, float, float]]:
     """Strictly parse data rows, yielding ``(kind, x, y)`` per row.
 
     Every malformed-row error carries the 1-based line number, on the
-    whole-file and the chunked paths alike.
+    whole-file and the chunked paths alike. A NaN or negative response
+    time is malformed: it would pass into a fit and poison it.
     """
     line1 = fh.readline()
     if not line1 or line1.strip() != _HEADER:
@@ -155,9 +170,9 @@ def _parse_rows(path: Path, fh) -> Iterator[tuple[str, float, float]]:
             if kind == "primary":
                 if ys != "":
                     raise ValueError("primary rows must leave y empty")
-                yield "primary", float(xs), 0.0
+                yield "primary", _response_time(xs), 0.0
             elif kind == "pair":
-                yield "pair", float(xs), float(ys)
+                yield "pair", _response_time(xs), _response_time(ys)
             else:
                 raise ValueError(f"unknown row kind {kind!r}")
         except ValueError as exc:

@@ -37,14 +37,12 @@ from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..registry import Registry
 from .request import FitRequest, FitResult
-from .storefit import (
+from .storefit import resolve_store_logs
+from .vectorized import (
     compute_optimal_singled_chunked,
     compute_optimal_singler_chunked,
-    resolve_store_logs,
-)
-from .vectorized import (
-    compute_optimal_singled_vectorized,
     compute_optimal_singler_vectorized,
+    sort_logs,
 )
 
 #: Solver kind -> registry entry whose factory is ``solve_fn(request)``.
@@ -105,31 +103,22 @@ def _baseline_logs(request: FitRequest, solver: str, rng=None):
     summary="Figure-1 sweep over response-time logs (vectorized)",
 )
 def solve_empirical(request: FitRequest) -> FitResult:
-    store_logs = resolve_store_logs(request)
+    # A sorted store's mmap is swept as it is (out-of-core, one chunk
+    # resident at a time); an in-memory log is sorted first. Either way
+    # it is the same sweep, bit-for-bit.
+    logs = resolve_store_logs(request)
     meta: dict = {}
-    if store_logs is not None:
-        # Out-of-core path: the sorted store mmap is swept in chunks,
-        # bit-for-bit equal to the in-memory sweep on the same samples.
-        rx, ry, release = store_logs
-        meta["store"] = True
-        if request.family == "single-d":
-            fit = compute_optimal_singled_chunked(
-                rx, ry, request.percentile, request.budget, release=release
-            )
-        else:
-            fit = compute_optimal_singler_chunked(
-                rx, ry, request.percentile, request.budget, release=release
-            )
+    if logs is None:
+        logs = (*sort_logs(*_baseline_logs(request, "empirical")), None)
     else:
-        rx, ry = _baseline_logs(request, "empirical")
-        if request.family == "single-d":
-            fit = compute_optimal_singled_vectorized(
-                rx, ry, request.percentile, request.budget
-            )
-        else:
-            fit = compute_optimal_singler_vectorized(
-                rx, ry, request.percentile, request.budget
-            )
+        meta["store"] = True
+    rx, ry, release = logs
+    sweep = (
+        compute_optimal_singled_chunked
+        if request.family == "single-d"
+        else compute_optimal_singler_chunked
+    )
+    fit = sweep(rx, ry, request.percentile, request.budget, release=release)
     policy = SingleD(fit.delay) if request.family == "single-d" else fit.policy
     meta["n_samples"] = int(rx.size)
     return FitResult(

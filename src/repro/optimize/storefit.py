@@ -1,42 +1,29 @@
-"""Chunked Figure-1 fits over store-backed (out-of-core) sample logs.
+"""Store-backed (out-of-core) sample logs for the Figure-1 fits.
 
-The vectorized sweeps in :mod:`repro.optimize.vectorized` materialize
-several O(N) temporaries (the first-occurrence index table, the per-probe
-CDF table, the candidate grid). Fine at figure scale; at
-tens-of-millions-of-samples store scale those temporaries are gigabytes.
-
-This module re-runs the *same* sweeps in fixed-size candidate chunks over
-a **sorted** sample array — typically the ``np.memmap`` behind an
-:class:`repro.store.EmpiricalStore` — carrying the only cross-chunk state
-(the running landing-point minimum, an int) as a scalar. Every float is
-produced by the identical sequence of IEEE-754 operations the in-memory
-sweep performs, so the returned :class:`~repro.core.optimizer.SingleRFit`
-is **bit-for-bit equal** (enforced by
-``tests/test_store_fit.py``). The probe-replay certification of the
-two-pointer trajectory is kept, evaluated in bounded batches; on the
-(pathological) replay failure it falls back to the scalar sweep exactly
-like the in-memory path does.
-
-An optional ``release`` callback (``EmpiricalStore.release``) runs after
-each chunk so a sweep over a multi-GB map keeps peak RSS near one chunk:
-the pages the chunk faulted in are dropped with ``madvise(MADV_DONTNEED)``.
+A sorted :class:`repro.store.EmpiricalStore` is fitted by the same
+sweep as an in-memory log (:mod:`repro.optimize.vectorized`), handed
+its ``np.memmap`` directly so nothing O(N) is copied or tabulated, and
+its ``release`` callback drops the pages each chunk faulted in
+(``madvise(MADV_DONTNEED)``). This module resolves a request's store
+logs and loads trace evidence by file format; the chunked entry points
+are re-exported here for callers that import them by this path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.optimizer import (
-    SingleRFit,
-    compute_optimal_singler as _singler_scalar,
-    discrete_cdf,
-    quantile_higher_sorted,
-    singler_success_rate,
+from .vectorized import (
+    compute_optimal_singled_chunked,
+    compute_optimal_singler_chunked,
 )
-from .vectorized import _check_inputs
 
-DEFAULT_CHUNK = 131_072
-_REPLAY_BATCH = 262_144
+__all__ = [
+    "compute_optimal_singled_chunked",
+    "compute_optimal_singler_chunked",
+    "load_trace_evidence",
+    "resolve_store_logs",
+]
 
 
 def resolve_store_logs(request):
@@ -101,221 +88,3 @@ def load_trace_evidence(path: str) -> dict:
         evidence["pair_x"] = log.pair_x
         evidence["pair_y"] = log.pair_y
     return evidence
-
-
-def compute_optimal_singler_chunked(
-    rx,
-    ry,
-    percentile: float,
-    budget: float,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    release=None,
-) -> SingleRFit:
-    """``compute_optimal_singler_vectorized`` over *sorted* logs, chunked.
-
-    ``rx``/``ry`` must already be sorted (store mmaps are; in-memory
-    callers sort first). Peak additional memory is O(chunk).
-    """
-    rx = np.asarray(rx, dtype=np.float64)
-    ry = np.asarray(ry, dtype=np.float64)
-    _check_inputs(rx, ry, percentile, budget)
-    chunk = max(int(chunk), 1)
-
-    picked = _sweep_trajectory_chunked(rx, ry, percentile, budget, chunk, release)
-    if picked is None:  # pathological float non-monotonicity: exact path
-        return _singler_scalar(rx, ry, percentile, budget)
-    d_star, t = picked
-
-    # Finishers shared verbatim with the in-memory implementations
-    # (``np.quantile`` replaced by its sorted-array order statistic).
-    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
-    q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
-    success = singler_success_rate(rx, ry, budget, t, d_star)
-    baseline = quantile_higher_sorted(rx, percentile)
-    if release is not None:
-        release()
-    return SingleRFit(
-        delay=float(d_star),
-        prob=float(q),
-        predicted_tail=float(t),
-        predicted_success=float(success),
-        baseline_tail=baseline,
-        budget=float(budget),
-        percentile=float(percentile),
-    )
-
-
-def _sweep_trajectory_chunked(rx, ry, percentile, budget, chunk, release):
-    """The broadcast two-pointer trajectory, one candidate chunk at a time.
-
-    Cross-chunk state is exactly one integer: the running minimum of the
-    landing points of all previous candidates (``land_prefix`` in the
-    in-memory sweep). Returns ``(d_star, t)`` or ``None`` on replay
-    failure, mirroring ``vectorized._sweep_trajectory``.
-    """
-    n = rx.size
-    ny = ry.size
-    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
-    m = min(i_max, n - 1) + 1  # number of candidate delays
-
-    carry = None  # min(land[0..last processed]) across previous chunks
-    any_moved = False
-    d_star = float(rx[0])
-    j_final = n - 1
-
-    for s in range(0, m, chunk):
-        e = min(s + chunk, m)
-        csize = e - s
-        cand = np.arange(s, e, dtype=np.int64)
-        d = np.array(rx[s:e], dtype=np.float64)  # chunk copy, not a view
-        locc = np.searchsorted(rx, d, side="left")
-        fx_c = locc.astype(np.float64) / n
-        surv = 1.0 - fx_c
-        degenerate = surv <= 0.0
-        with np.errstate(divide="ignore"):
-            q = np.where(degenerate, 1.0, np.minimum(1.0, budget / surv))
-
-        def feasible(d_idx: np.ndarray, j: np.ndarray) -> np.ndarray:
-            # fx_at[j] recomputed on the fly instead of via the O(N)
-            # first-occurrence table: identical integer searchsorted,
-            # identical float cast and divide, element for element.
-            fx = (
-                np.searchsorted(rx, rx[j], side="left").astype(np.float64) / n
-            )
-            fy = (
-                np.searchsorted(ry, rx[j] - d[d_idx], side="left").astype(
-                    np.float64
-                )
-                / ny
-            )
-            deg = degenerate[d_idx]
-            alpha = np.where(deg, fx, fx + q[d_idx] * (1.0 - fx) * fy)
-            return alpha >= percentile
-
-        all_idx = np.arange(csize)
-        top = feasible(all_idx, np.full(csize, n - 1))
-        jmin = np.full(csize, n, dtype=np.int64)
-        lo = np.zeros(csize, dtype=np.int64)
-        hi = np.full(csize, n - 1, dtype=np.int64)
-        active = top.copy()
-        while np.any(active & (lo < hi)):
-            sel = active & (lo < hi)
-            mid = (lo[sel] + hi[sel]) // 2
-            f = feasible(all_idx[sel], mid)
-            hi[sel] = np.where(f, mid, hi[sel])
-            lo[sel] = np.where(f, lo[sel], mid + 1)
-        jmin[top] = lo[top]
-
-        land = np.maximum(jmin, locc)
-        lp = np.minimum.accumulate(land)
-        if carry is not None:
-            lp = np.minimum(lp, carry)
-        j_before = np.empty(csize, dtype=np.int64)
-        j_before[0] = n - 1 if s == 0 else min(n - 1, carry)
-        if csize > 1:
-            j_before[1:] = np.minimum(n - 1, lp[:-1])
-
-        violated = cand > j_before
-        stopped = bool(violated.any())
-        local_np = int(np.argmax(violated)) if stopped else csize
-        jb = j_before[:local_np]
-        ja = np.minimum(jb, land[:local_np])
-
-        moved = ja < jb
-        if bool(moved.any()):
-            any_moved = True
-            d_star = float(d[int(np.flatnonzero(moved)[-1])])
-        if local_np:
-            j_final = int(ja[-1])
-
-        # -- probe replay over the processed slice, in bounded batches ---
-        counts = (jb - ja).astype(np.int64)
-        if counts.size:
-            cum = np.cumsum(counts)
-            starts = cum - counts  # probe offset where candidate i begins
-            total = int(cum[-1])
-            for b0 in range(0, total, _REPLAY_BATCH):
-                b1 = min(b0 + _REPLAY_BATCH, total)
-                k = np.arange(b0, b1)
-                d_rep = np.searchsorted(cum, k, side="right")
-                j_comm = k - starts[d_rep] + ja[d_rep]
-                if not bool(np.all(feasible(d_rep, j_comm))):
-                    return None
-        stop = (ja > 0) & (ja > locc[:local_np])
-        if bool(stop.any()):
-            if bool(np.any(feasible(np.flatnonzero(stop), ja[stop] - 1))):
-                return None
-
-        if release is not None:
-            release()
-        if stopped:
-            break
-        carry = int(lp[-1]) if csize else carry
-
-    t = float(rx[j_final])
-    if not any_moved:
-        d_star = float(rx[0])
-    return d_star, t
-
-
-def compute_optimal_singled_chunked(
-    rx,
-    ry,
-    percentile: float,
-    budget: float,
-    *,
-    chunk: int = DEFAULT_CHUNK,
-    release=None,
-) -> SingleRFit:
-    """``compute_optimal_singled_vectorized`` over *sorted* logs, chunked.
-
-    The SingleD descent needs only the index of the highest infeasible
-    probe, so the chunked scan carries a single integer.
-    """
-    rx = np.asarray(rx, dtype=np.float64)
-    ry = np.asarray(ry, dtype=np.float64)
-    _check_inputs(rx, ry, percentile, budget)
-    chunk = max(int(chunk), 1)
-
-    n = rx.size
-    idx = min(int(np.ceil(n * (1.0 - budget))), n - 1)
-    d = float(rx[idx])
-    lo_d = int(np.searchsorted(rx, d, side="left"))
-
-    last_infeasible = -1
-    for s in range(lo_d, n, chunk):
-        e = min(s + chunk, n)
-        rxj = np.array(rx[s:e], dtype=np.float64)
-        fx = np.searchsorted(rx, rxj, side="left").astype(np.float64) / n
-        fy = (
-            np.searchsorted(ry, rxj - d, side="left").astype(np.float64)
-            / ry.size
-        )
-        alpha = fx + (1.0 - fx) * fy
-        bad = np.flatnonzero(alpha < percentile)
-        if bad.size:
-            last_infeasible = s + int(bad[-1])
-        if release is not None:
-            release()
-
-    if last_infeasible < 0:
-        best_t = float(rx[lo_d])
-    else:
-        b = last_infeasible
-        best_t = float(rx[b + 1]) if b + 1 <= n - 1 else float(rx[n - 1])
-
-    baseline = quantile_higher_sorted(rx, percentile)
-    best_t = min(best_t, baseline)
-    success = singler_success_rate(rx, ry, 1.0, best_t, d)
-    if release is not None:
-        release()
-    return SingleRFit(
-        delay=d,
-        prob=1.0,
-        predicted_tail=best_t,
-        predicted_success=float(success),
-        baseline_tail=baseline,
-        budget=float(budget),
-        percentile=float(percentile),
-    )

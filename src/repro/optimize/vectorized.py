@@ -1,32 +1,43 @@
-"""Broadcast reimplementation of the Figure-1 parameter sweeps.
+"""The Figure-1 parameter sweeps (§4.1), broadcast one candidate chunk
+at a time.
 
-The legacy sweeps in :mod:`repro.core.optimizer` walk the sorted sample
-log with a scalar two-pointer loop, calling ``discrete_cdf`` (a Python
-wrapper around one ``np.searchsorted``) once per probe — O(N) probes,
-each a few microseconds of interpreter overhead. At figure-scale logs
-(8k–50k samples) the fit costs as much as the simulation it fits.
-
-This module computes the same search over the whole ``(d, t)`` candidate
-grid with array ``np.searchsorted`` calls and **returns bit-for-bit the
-same** :class:`~repro.core.optimizer.SingleRFit`:
+The scalar sweeps in :mod:`repro.core.optimizer` walk the sorted sample
+log with a two-pointer loop, calling ``discrete_cdf`` (a Python wrapper
+around one ``np.searchsorted``) once per probe — O(N) probes, each a few
+microseconds of interpreter overhead. This module computes the same
+search with array ``np.searchsorted`` calls over fixed-size chunks of
+the candidate delays and **returns bit-for-bit the same**
+:class:`~repro.core.optimizer.SingleRFit`:
 
 * every success-rate value is produced by the *identical* sequence of
   IEEE-754 operations the scalar code performs (same operand order, same
   dtype), so each feasibility comparison ``alpha >= k`` agrees exactly;
-* the SingleR sweep's two-pointer trajectory is reconstructed from a
-  vectorized binary search per candidate delay (valid because the
-  success rate is non-decreasing in ``t`` for a fixed ``d``), and then
-  **verified**: the exact probe sequence the scalar loop would make is
-  replayed in one broadcast evaluation. If float rounding ever produced
-  a non-monotone feasibility pattern that fools the binary search, the
-  verification fails and we fall back to the scalar sweep — equality is
-  guaranteed, not assumed;
+* the SingleR two-pointer trajectory is reconstructed from a vectorized
+  binary search per candidate delay (valid because the success rate is
+  non-decreasing in ``t`` for a fixed ``d``). The only state carried
+  across chunks is one integer, the running minimum of the landing
+  points, and the sweep stops at the chunk where the scalar loop would;
+* the trajectory is then **verified**: the exact probe sequence the
+  scalar loop would make is replayed in bounded broadcast batches. If
+  float rounding ever produced a non-monotone feasibility pattern that
+  fools the binary search, the verification fails and the scalar sweep
+  runs instead — equality is guaranteed, not assumed;
 * the SingleD sweep needs no fallback: its single descent is emulated
-  exactly by locating the highest infeasible candidate below the top.
+  exactly by locating the highest infeasible probe at or above the
+  Eq.-2 delay.
 
-``tests/test_optimize_vectorized.py`` enforces bit-for-bit equality
-against the retained legacy sweeps across a randomized matrix of sample
-sets, percentiles, and budgets.
+There is one sweep and two entry points. ``*_vectorized`` takes any
+sample logs and sorts them; ``*_chunked`` takes logs that are already
+sorted — typically the ``np.memmap`` behind an
+:class:`repro.store.EmpiricalStore` — plus an optional ``release``
+callback (``EmpiricalStore.release``) run after each chunk, so a sweep
+over a multi-GB map keeps its resident set near one chunk. The input
+type picks how ``Pr(X < rx[j])`` is read: an in-memory log keeps one
+O(N) first-occurrence table, a memmap recomputes it per probe so that
+additional memory stays O(chunk).
+
+``tests/test_optimize_vectorized.py`` and ``tests/test_store_fit.py``
+enforce bit-for-bit equality against the scalar oracle.
 """
 
 from __future__ import annotations
@@ -35,40 +46,23 @@ import numpy as np
 
 from ..core.optimizer import (
     SingleRFit,
-    compute_optimal_singled as _singled_scalar,
+    check_fit_inputs,
     compute_optimal_singler as _singler_scalar,
     discrete_cdf,
+    quantile_higher_sorted,
     singler_success_rate,
 )
 
-
-def _check_inputs(rx: np.ndarray, ry: np.ndarray, percentile: float, budget: float):
-    if rx.size == 0 or ry.size == 0:
-        raise ValueError("rx and ry must be non-empty")
-    if not 0.0 < percentile < 1.0:
-        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"budget must be in (0, 1], got {budget}")
+DEFAULT_CHUNK = 131_072
+_REPLAY_BATCH = 262_144
 
 
-def _alpha(
-    rx: np.ndarray,
-    ry: np.ndarray,
-    fx_at: np.ndarray,
-    j: np.ndarray,
-    d: np.ndarray,
-    q: np.ndarray,
-    degenerate: np.ndarray,
-) -> np.ndarray:
-    """``SingleRSuccessRate`` at ``t = rx[j]`` for per-element ``(d, q)``.
-
-    Replicates ``singler_success_rate`` operation for operation:
-    ``p_x_le_t + q * (1.0 - p_x_le_t) * p_y`` with the ``surv <= 0``
-    branch collapsing to ``p_x_le_t``.
-    """
-    fx = fx_at[j]
-    fy = np.searchsorted(ry, rx[j] - d, side="left").astype(np.float64) / ry.size
-    return np.where(degenerate, fx, fx + q * (1.0 - fx) * fy)
+def sort_logs(rx, ry):
+    """``(rx, ry)`` as sorted float64 arrays, sorting a shared log once."""
+    rx_sorted = np.sort(np.asarray(rx, dtype=np.float64))
+    if ry is rx:
+        return rx_sorted, rx_sorted
+    return rx_sorted, np.sort(np.asarray(ry, dtype=np.float64))
 
 
 def compute_optimal_singler_vectorized(
@@ -82,114 +76,7 @@ def compute_optimal_singler_vectorized(
     Drop-in replacement for
     :func:`repro.core.optimizer.compute_optimal_singler`.
     """
-    rx = np.sort(np.asarray(rx, dtype=np.float64))
-    ry = np.sort(np.asarray(ry, dtype=np.float64))
-    _check_inputs(rx, ry, percentile, budget)
-
-    picked = _sweep_trajectory(rx, ry, percentile, budget)
-    if picked is None:  # pathological float non-monotonicity: exact path
-        return _singler_scalar(rx, ry, percentile, budget)
-    d_star, t = picked
-
-    # Finishers shared verbatim with the scalar implementation.
-    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
-    q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
-    success = singler_success_rate(rx, ry, budget, t, d_star)
-    baseline = float(np.quantile(rx, percentile, method="higher"))
-    return SingleRFit(
-        delay=float(d_star),
-        prob=float(q),
-        predicted_tail=float(t),
-        predicted_success=float(success),
-        baseline_tail=baseline,
-        budget=float(budget),
-        percentile=float(percentile),
-    )
-
-
-def _sweep_trajectory(rx, ry, percentile, budget):
-    """The two-pointer trajectory, reconstructed in broadcast form.
-
-    Returns ``(d_star, t)`` exactly as the scalar sweep would pick them,
-    or ``None`` when the probe-replay verification detects a feasibility
-    pattern the monotone binary search cannot represent (caller falls
-    back to the scalar loop).
-    """
-    n = rx.size
-    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
-    cand = np.arange(min(i_max, n - 1) + 1)
-    d = rx[cand]
-
-    # First-occurrence index of each sample value: both the candidates'
-    # survival Pr(X > d) and the CDF at every probe t = rx[j] read it.
-    locc_all = np.searchsorted(rx, rx, side="left")
-    fx_at = locc_all.astype(np.float64) / n
-    locc = locc_all[cand]  # lowest j reachable under ``rx[j-1] >= d``
-    surv = 1.0 - fx_at[cand]
-    degenerate = surv <= 0.0  # unreachable for sample delays; kept exact
-    with np.errstate(divide="ignore"):
-        q = np.where(degenerate, 1.0, np.minimum(1.0, budget / surv))
-
-    def feasible(d_idx: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return (
-            _alpha(rx, ry, fx_at, j, d[d_idx], q[d_idx], degenerate[d_idx])
-            >= percentile
-        )
-
-    # Per-candidate first feasible t-index, assuming alpha(t) monotone in
-    # t for fixed d (true in exact arithmetic; verified below in floats).
-    all_idx = np.arange(cand.size)
-    top = feasible(all_idx, np.full(cand.size, n - 1))
-    jmin = np.full(cand.size, n, dtype=np.int64)  # sentinel: none feasible
-    lo = np.zeros(cand.size, dtype=np.int64)
-    hi = np.full(cand.size, n - 1, dtype=np.int64)
-    active = top.copy()
-    while np.any(active & (lo < hi)):
-        sel = active & (lo < hi)
-        mid = (lo[sel] + hi[sel]) // 2
-        f = feasible(all_idx[sel], mid)
-        hi[sel] = np.where(f, mid, hi[sel])
-        lo[sel] = np.where(f, lo[sel], mid + 1)
-    jmin[top] = lo[top]
-
-    # The inner loop can only settle at max(first feasible t, first
-    # sample >= d); the outer loop's shared j is then a running minimum.
-    land = np.maximum(jmin, locc)
-    land_prefix = np.minimum.accumulate(land)
-    j_before = np.empty(cand.size, dtype=np.int64)
-    j_before[0] = n - 1
-    if cand.size > 1:
-        j_before[1:] = np.minimum(n - 1, land_prefix[:-1])
-    violated = cand > j_before  # the ``while i <= min(j, i_max)`` exit
-    n_proc = int(np.argmax(violated)) if bool(violated.any()) else cand.size
-    jb = j_before[:n_proc]
-    ja = np.minimum(jb, land[:n_proc])
-
-    moved = ja < jb
-    d_star_idx = int(np.flatnonzero(moved)[-1]) if bool(moved.any()) else 0
-    d_star = rx[cand[d_star_idx]] if bool(moved.any()) else rx[0]
-    j_final = int(ja[-1]) if n_proc else n - 1
-    t = rx[j_final]
-
-    # -- probe replay: certify the trajectory matches the scalar loop ----
-    # Committed probes: for candidate i the scalar loop accepted every
-    # t = rx[j], j in [ja[i], jb[i] - 1] (must all be feasible) ...
-    counts = jb - ja
-    total = int(counts.sum())
-    if total:
-        d_rep = np.repeat(np.arange(n_proc), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        j_comm = np.arange(total) - np.repeat(starts, counts) + np.repeat(ja, counts)
-        if not bool(np.all(feasible(d_rep, j_comm))):
-            return None
-    # ... and then stopped: when the stop was a failed success-rate check
-    # (not the ``rx[j-1] < d`` / ``j == 0`` boundary), the probe below the
-    # landing point must be infeasible.
-    stop = (ja > 0) & (ja > locc[:n_proc])
-    if bool(stop.any()):
-        if bool(np.any(feasible(np.flatnonzero(stop), ja[stop] - 1))):
-            return None
-    return d_star, t
+    return compute_optimal_singler_chunked(*sort_logs(rx, ry), percentile, budget)
 
 
 def compute_optimal_singled_vectorized(
@@ -199,37 +86,211 @@ def compute_optimal_singled_vectorized(
     budget: float,
 ) -> SingleRFit:
     """Vectorized SingleD fit — bit-for-bit
-    :func:`repro.core.optimizer.compute_optimal_singled`.
+    :func:`repro.core.optimizer.compute_optimal_singled`."""
+    return compute_optimal_singled_chunked(*sort_logs(rx, ry), percentile, budget)
+
+
+def compute_optimal_singler_chunked(
+    rx,
+    ry,
+    percentile: float,
+    budget: float,
+    *,
+    chunk: int = DEFAULT_CHUNK,
+    release=None,
+) -> SingleRFit:
+    """The SingleR sweep over *sorted* logs, ``chunk`` candidates at a time."""
+    rx = np.asanyarray(rx, dtype=np.float64)
+    ry = np.asanyarray(ry, dtype=np.float64)
+    check_fit_inputs(rx, ry, percentile, budget)
+
+    chunk = max(int(chunk), 1)
+    picked = _sweep_trajectory(rx, ry, percentile, budget, chunk, release)
+    if picked is None:  # pathological float non-monotonicity: exact path
+        return _singler_scalar(rx, ry, percentile, budget)
+    d_star, t = picked
+
+    # Finishers shared verbatim with the scalar implementation
+    # (``np.quantile`` replaced by its sorted-array order statistic).
+    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
+    q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
+    success = singler_success_rate(rx, ry, budget, t, d_star)
+    baseline = quantile_higher_sorted(rx, percentile)
+    if release is not None:
+        release()
+    return SingleRFit(
+        delay=d_star,
+        prob=float(q),
+        predicted_tail=t,
+        predicted_success=float(success),
+        baseline_tail=baseline,
+        budget=float(budget),
+        percentile=float(percentile),
+    )
+
+
+def _sweep_trajectory(rx, ry, percentile, budget, chunk, release):
+    """The two-pointer trajectory, reconstructed one candidate chunk at a
+    time.
+
+    Returns ``(d_star, t)`` exactly as the scalar sweep would pick them,
+    or ``None`` when the probe-replay verification detects a feasibility
+    pattern the monotone binary search cannot represent (caller falls
+    back to the scalar loop).
+    """
+    n = rx.size
+    ny = ry.size
+    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
+    m = min(i_max, n - 1) + 1  # number of candidate delays
+
+    # Pr(X < rx[j]) = (first-occurrence index of rx[j]) / n. The same
+    # integer searchsorted, float cast and divide either way, element
+    # for element; only where it happens differs.
+    if isinstance(rx, np.memmap):
+
+        def fx_at(j: np.ndarray) -> np.ndarray:
+            return np.searchsorted(rx, rx[j], side="left").astype(np.float64) / n
+
+    else:
+        table = np.searchsorted(rx, rx, side="left").astype(np.float64)
+        table /= n
+        fx_at = table.__getitem__
+
+    carry = n - 1  # min(n - 1, landing points of all previous chunks)
+    d_star = float(rx[0])
+    j_final = n - 1
+
+    for s in range(0, m, chunk):
+        e = min(s + chunk, m)
+        csize = e - s
+        cand = np.arange(s, e, dtype=np.int64)
+        d = np.array(rx[s:e], dtype=np.float64)  # chunk copy, not a view
+        locc = np.searchsorted(rx, d, side="left")  # lowest j with rx[j-1] >= d
+        surv = 1.0 - locc.astype(np.float64) / n
+        degenerate = surv <= 0.0  # unreachable for sample delays; kept exact
+        with np.errstate(divide="ignore"):
+            q = np.where(degenerate, 1.0, np.minimum(1.0, budget / surv))
+
+        def feasible(d_idx: np.ndarray, j: np.ndarray) -> np.ndarray:
+            # SingleRSuccessRate at t = rx[j], operation for operation:
+            # ``p_x_le_t + q * (1.0 - p_x_le_t) * p_y``, collapsing to
+            # ``p_x_le_t`` on the ``surv <= 0`` branch.
+            fx = fx_at(j)
+            fy = np.searchsorted(ry, rx[j] - d[d_idx], side="left")
+            fy = fy.astype(np.float64) / ny
+            alpha = np.where(degenerate[d_idx], fx, fx + q[d_idx] * (1.0 - fx) * fy)
+            return alpha >= percentile
+
+        # Per-candidate first feasible t-index, assuming alpha(t) monotone
+        # in t for fixed d (true in exact arithmetic; verified below).
+        all_idx = np.arange(csize)
+        top = feasible(all_idx, np.full(csize, n - 1))
+        jmin = np.full(csize, n, dtype=np.int64)  # sentinel: none feasible
+        lo = np.zeros(csize, dtype=np.int64)
+        hi = np.full(csize, n - 1, dtype=np.int64)
+        active = top.copy()
+        while np.any(active & (lo < hi)):
+            sel = active & (lo < hi)
+            mid = (lo[sel] + hi[sel]) // 2
+            f = feasible(all_idx[sel], mid)
+            hi[sel] = np.where(f, mid, hi[sel])
+            lo[sel] = np.where(f, lo[sel], mid + 1)
+        jmin[top] = lo[top]
+
+        # The inner loop can only settle at max(first feasible t, first
+        # sample >= d); the outer loop's shared j is then a running minimum.
+        land = np.maximum(jmin, locc)
+        lp = np.minimum(np.minimum.accumulate(land), carry)
+        j_before = np.concatenate(([carry], lp[:-1]))
+
+        violated = cand > j_before  # the ``while i <= min(j, i_max)`` exit
+        stopped = bool(violated.any())
+        n_proc = int(np.argmax(violated)) if stopped else csize
+        jb = j_before[:n_proc]
+        ja = np.minimum(jb, land[:n_proc])
+
+        moved = np.flatnonzero(ja < jb)
+        if moved.size:
+            d_star = float(d[moved[-1]])
+        if n_proc:
+            j_final = int(ja[-1])
+
+        # -- probe replay: certify the trajectory matches the scalar loop --
+        # Committed probes: for candidate i the scalar loop accepted every
+        # t = rx[j], j in [ja[i], jb[i] - 1] (must all be feasible) ...
+        counts = jb - ja
+        cum = np.cumsum(counts)
+        starts = cum - counts  # probe offset where candidate i begins
+        total = int(cum[-1]) if n_proc else 0
+        for b0 in range(0, total, _REPLAY_BATCH):
+            k = np.arange(b0, min(b0 + _REPLAY_BATCH, total))
+            d_rep = np.searchsorted(cum, k, side="right")
+            if not bool(np.all(feasible(d_rep, k - starts[d_rep] + ja[d_rep]))):
+                return None
+        # ... and then stopped: when the stop was a failed success-rate
+        # check (not the ``rx[j-1] < d`` / ``j == 0`` boundary), the probe
+        # below the landing point must be infeasible.
+        stop = np.flatnonzero((ja > 0) & (ja > locc[:n_proc]))
+        if stop.size and bool(np.any(feasible(stop, ja[stop] - 1))):
+            return None
+
+        if release is not None:
+            release()
+        if stopped:
+            break
+        carry = int(lp[-1])
+
+    return d_star, float(rx[j_final])
+
+
+def compute_optimal_singled_chunked(
+    rx,
+    ry,
+    percentile: float,
+    budget: float,
+    *,
+    chunk: int = DEFAULT_CHUNK,
+    release=None,
+) -> SingleRFit:
+    """The SingleD sweep over *sorted* logs, ``chunk`` probes at a time.
 
     The scalar loop walks t downward from the top sample and stops at the
     first success-rate failure (or at ``t < d``); the survivor is exactly
     ``rx[b + 1]`` where ``b`` is the highest infeasible index at or above
-    the Eq.-2 delay — computable in one broadcast pass, no monotonicity
-    assumption needed.
+    the Eq.-2 delay, so the scan carries that single integer and needs no
+    monotonicity assumption.
     """
-    rx = np.sort(np.asarray(rx, dtype=np.float64))
-    ry = np.sort(np.asarray(ry, dtype=np.float64))
-    _check_inputs(rx, ry, percentile, budget)
+    rx = np.asanyarray(rx, dtype=np.float64)
+    ry = np.asanyarray(ry, dtype=np.float64)
+    check_fit_inputs(rx, ry, percentile, budget)
+    chunk = max(int(chunk), 1)
 
     n = rx.size
     idx = min(int(np.ceil(n * (1.0 - budget))), n - 1)
     d = float(rx[idx])
     lo_d = int(np.searchsorted(rx, d, side="left"))
 
-    j = np.arange(lo_d, n)
-    fx = np.searchsorted(rx, rx[j], side="left").astype(np.float64) / n
-    fy = np.searchsorted(ry, rx[j] - d, side="left").astype(np.float64) / ry.size
-    alpha = fx + (1.0 - fx) * fy
-    infeasible = np.flatnonzero(alpha < percentile)
-    if infeasible.size == 0:
+    last_infeasible = -1
+    for s in range(lo_d, n, chunk):
+        rxj = np.array(rx[s : s + chunk], dtype=np.float64)
+        fx = np.searchsorted(rx, rxj, side="left").astype(np.float64) / n
+        fy = np.searchsorted(ry, rxj - d, side="left").astype(np.float64) / ry.size
+        bad = np.flatnonzero(fx + (1.0 - fx) * fy < percentile)
+        if bad.size:
+            last_infeasible = s + int(bad[-1])
+        if release is not None:
+            release()
+
+    if last_infeasible < 0:
         best_t = float(rx[lo_d])
     else:
-        b = lo_d + int(infeasible[-1])
-        best_t = float(rx[b + 1]) if b + 1 <= n - 1 else float(rx[n - 1])
+        best_t = float(rx[min(last_infeasible + 1, n - 1)])
 
-    baseline = float(np.quantile(rx, percentile, method="higher"))
+    baseline = quantile_higher_sorted(rx, percentile)
     best_t = min(best_t, baseline)
     success = singler_success_rate(rx, ry, 1.0, best_t, d)
+    if release is not None:
+        release()
     return SingleRFit(
         delay=d,
         prob=1.0,
@@ -239,9 +300,3 @@ def compute_optimal_singled_vectorized(
         budget=float(budget),
         percentile=float(percentile),
     )
-
-
-# Re-exported for benchmarks/tests that want the scalar references
-# alongside the vectorized paths without reaching into core directly.
-compute_optimal_singler_scalar = _singler_scalar
-compute_optimal_singled_scalar = _singled_scalar

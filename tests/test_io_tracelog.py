@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.interfaces import RunResult
 from repro.io import TraceLog, read_trace, write_trace
+from repro.io.tracelog import iter_trace
 
 
 def make_trace(n=10, m=4, seed=0):
@@ -30,6 +31,19 @@ class TestTraceLog:
     def test_negative_times_rejected(self):
         with pytest.raises(ValueError):
             TraceLog(primary=[-1.0])
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(primary=[1.0, np.nan]),
+            dict(primary=[1.0], pair_x=[-1.0], pair_y=[2.0]),
+            dict(primary=[1.0], pair_x=[1.0], pair_y=[np.nan]),
+            dict(primary=[1.0], pair_x=[np.nan], pair_y=[1.0]),
+        ],
+    )
+    def test_nan_and_negative_rejected_in_every_array(self, kwargs):
+        with pytest.raises(ValueError, match="non-negative"):
+            TraceLog(**kwargs)
 
     def test_2d_rejected(self):
         with pytest.raises(ValueError):
@@ -79,6 +93,17 @@ class TestRoundTrip:
         p.write_text("# repro-trace v1\nkind,x,y\nprimary,abc,\n")
         with pytest.raises(ValueError, match="bad.csv:3"):
             read_trace(p)
+
+    @pytest.mark.parametrize(
+        "row", ["primary,nan,", "primary,-1.5,", "pair,nan,1.0", "pair,1.0,-2.0"]
+    )
+    def test_nan_or_negative_row_names_the_line(self, tmp_path, row):
+        p = tmp_path / "bad.csv"
+        p.write_text(f"# repro-trace v1\nkind,x,y\nprimary,1.0,\n{row}\n")
+        with pytest.raises(ValueError, match="bad.csv:4: response time"):
+            read_trace(p)
+        with pytest.raises(ValueError, match="bad.csv:4: response time"):
+            list(iter_trace(p, chunk=1))
 
     def test_unknown_kind_rejected(self, tmp_path):
         p = tmp_path / "bad.csv"

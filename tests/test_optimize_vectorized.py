@@ -1,12 +1,12 @@
 """Bit-for-bit equivalence of the vectorized Figure-1 sweeps.
 
-Mirrors ``tests/test_fastsim_equivalence.py``: the legacy scalar sweeps
-in ``repro.core.optimizer`` are retained as the reference, and the
-vectorized reimplementations in ``repro.optimize.vectorized`` must
-return *identical* ``SingleRFit`` dataclasses — every field, every bit
-— across a randomized matrix of sample sets, percentiles, and budgets,
-plus the adversarial shapes (duplicates, tiny logs, constant logs)
-where index arithmetic earns its keep.
+Mirrors ``tests/test_fastsim_equivalence.py``: the scalar sweeps in
+``repro.core.optimizer`` are the reference, and the chunked broadcast
+sweeps in ``repro.optimize.vectorized`` must return *identical*
+``SingleRFit`` dataclasses — every field, every bit — across a
+randomized matrix of sample sets, percentiles, and budgets, plus the
+adversarial shapes (duplicates, tiny logs, constant logs) where index
+arithmetic earns its keep.
 """
 
 import numpy as np
@@ -18,10 +18,13 @@ from repro.core.optimizer import (
     compute_optimal_singled,
     compute_optimal_singler,
 )
+from repro.optimize import FitRequest, solve
+from repro.optimize.storefit import compute_optimal_singler_chunked
 from repro.optimize.vectorized import (
     compute_optimal_singled_vectorized,
     compute_optimal_singler_vectorized,
 )
+from repro.store import EmpiricalStore, TraceWriter
 
 PERCENTILES = (0.5, 0.9, 0.95, 0.99)
 BUDGETS = (0.01, 0.05, 0.2, 0.5, 1.0)
@@ -78,6 +81,7 @@ class TestSingleREquivalence:
 
     def test_input_validation_matches_legacy(self):
         rx = np.array([1.0, 2.0])
+        nan = np.array([1.0, 2.0, np.nan])  # sorted: NaN goes last
         for bad in (
             lambda f: f(np.empty(0), rx, 0.9, 0.1),
             lambda f: f(rx, np.empty(0), 0.9, 0.1),
@@ -85,11 +89,16 @@ class TestSingleREquivalence:
             lambda f: f(rx, rx, 1.0, 0.1),
             lambda f: f(rx, rx, 0.9, 0.0),
             lambda f: f(rx, rx, 0.9, 1.5),
+            lambda f: f(nan, rx, 0.9, 0.1),
+            lambda f: f(rx, nan, 0.9, 0.1),
         ):
-            with pytest.raises(ValueError):
-                bad(compute_optimal_singler)
-            with pytest.raises(ValueError):
-                bad(compute_optimal_singler_vectorized)
+            for fit in (
+                compute_optimal_singler,
+                compute_optimal_singler_vectorized,
+                compute_optimal_singler_chunked,
+            ):
+                with pytest.raises(ValueError):
+                    bad(fit)
 
 
 class TestSingleDEquivalence:
@@ -124,10 +133,11 @@ class TestSingleDEquivalence:
 
 
 class TestScalarFallback:
-    def test_sweep_trajectory_fallback_path(self, monkeypatch):
+    def test_sweep_trajectory_fallback_path(self, monkeypatch, tmp_path):
         """If the probe replay ever rejects the reconstructed trajectory,
-        the vectorized entry point must fall back to the scalar sweep
-        (same result, slower) rather than guess."""
+        every entry point — in-memory, chunked over a store's memmap, and
+        ``solve`` on a store — must fall back to the scalar sweep (same
+        result, slower) rather than guess."""
         from repro.optimize import vectorized
 
         monkeypatch.setattr(
@@ -139,3 +149,18 @@ class TestScalarFallback:
         assert vectorized.compute_optimal_singler_vectorized(
             rx, rx, 0.95, 0.1
         ) == legacy
+
+        path = tmp_path / "log.store"
+        with TraceWriter(path, sorted=True) as writer:
+            writer.append(np.sort(rx))
+        store = EmpiricalStore(path)
+        try:
+            mapped = store.sorted_samples
+            assert isinstance(mapped, np.memmap)
+            assert compute_optimal_singler_chunked(
+                mapped, mapped, 0.95, 0.1, chunk=64, release=store.release
+            ) == legacy
+            request = FitRequest(rx=store, percentile=0.95, budget=0.1)
+            assert solve(request, "empirical").fit == legacy
+        finally:
+            store.close()

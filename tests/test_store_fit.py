@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.optimizer import quantile_higher_sorted
+from repro.core.optimizer import (
+    compute_optimal_singled,
+    compute_optimal_singler,
+    quantile_higher_sorted,
+)
 from repro.optimize import FitRequest, solve
 from repro.optimize.storefit import (
     compute_optimal_singled_chunked,
     compute_optimal_singler_chunked,
     load_trace_evidence,
-)
-from repro.optimize.vectorized import (
-    compute_optimal_singled_vectorized,
-    compute_optimal_singler_vectorized,
 )
 from repro.store import EmpiricalStore, StoreNotSortedError, TraceWriter
 from repro.store.format import DEFAULT_BLOCK_RECORDS
@@ -52,47 +52,70 @@ log_strategy = st.lists(
 )
 
 
-class TestChunkedEqualsVectorized:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        samples=log_strategy,
-        percentile=st.sampled_from([0.9, 0.95, 0.99]),
-        budget=st.sampled_from([0.01, 0.05, 0.2]),
-        chunk=st.sampled_from([1, 3, 7, 64]),
-    )
-    def test_singler_bitwise(self, samples, percentile, budget, chunk):
+def as_memmap(directory, sorted_samples):
+    """The same samples as a read-only ``np.memmap``, like a store's."""
+    path = directory / f"log-{len(list(directory.iterdir()))}.f8"
+    np.asarray(sorted_samples, dtype=np.float64).tofile(path)
+    return np.memmap(path, dtype=np.float64, mode="r")
+
+
+class TestSweepEqualsOracle:
+    """Both entry points and both ``Pr(X < t)`` lookups — the in-memory
+    first-occurrence table and the memmap's per-probe search — return
+    the scalar oracle's fit, field for field."""
+
+    def check(self, directory, sweep, oracle, samples, reissue, p, b, chunk):
         rx = np.sort(np.asarray(samples, dtype=np.float64))
-        expected = compute_optimal_singler_vectorized(
-            rx, rx, percentile, budget
-        )
-        got = compute_optimal_singler_chunked(
-            rx, rx, percentile, budget, chunk=chunk
-        )
-        assert bits(got) == bits(expected)
+        ry = rx if reissue is None else np.sort(np.asarray(reissue, float))
+        expected = bits(oracle(rx, ry, p, b))
+        mapped_x = as_memmap(directory, rx)
+        mapped_y = mapped_x if reissue is None else as_memmap(directory, ry)
+        assert bits(sweep(rx, ry, p, b, chunk=chunk)) == expected
+        assert bits(sweep(mapped_x, mapped_y, p, b, chunk=chunk)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(
         samples=log_strategy,
+        reissue=st.none() | log_strategy,
         percentile=st.sampled_from([0.9, 0.95, 0.99]),
         budget=st.sampled_from([0.01, 0.05, 0.2]),
-        chunk=st.sampled_from([1, 5, 128]),
+        chunk=st.sampled_from([1, 3, 7, 64, 1000]),
     )
-    def test_singled_bitwise(self, samples, percentile, budget, chunk):
-        rx = np.sort(np.asarray(samples, dtype=np.float64))
-        expected = compute_optimal_singled_vectorized(
-            rx, rx, percentile, budget
+    def test_singler_equals_oracle(
+        self, tmp_path_factory, samples, reissue, percentile, budget, chunk
+    ):
+        self.check(
+            tmp_path_factory.mktemp("logs"),
+            compute_optimal_singler_chunked,
+            compute_optimal_singler,
+            samples, reissue, percentile, budget, chunk,
         )
-        got = compute_optimal_singled_chunked(
-            rx, rx, percentile, budget, chunk=chunk
-        )
-        assert bits(got) == bits(expected)
 
-    def test_distinct_reissue_log(self, rng):
-        rx = np.sort(rng.lognormal(2.0, 0.6, 5000))
-        ry = np.sort(rng.lognormal(1.5, 0.4, 3000))
-        expected = compute_optimal_singler_vectorized(rx, ry, 0.99, 0.05)
-        got = compute_optimal_singler_chunked(rx, ry, 0.99, 0.05, chunk=777)
-        assert bits(got) == bits(expected)
+    @settings(max_examples=40, deadline=None)
+    @given(
+        samples=log_strategy,
+        reissue=st.none() | log_strategy,
+        percentile=st.sampled_from([0.9, 0.95, 0.99]),
+        budget=st.sampled_from([0.01, 0.05, 0.2]),
+        chunk=st.sampled_from([1, 3, 7, 64, 1000]),
+    )
+    def test_singled_equals_oracle(
+        self, tmp_path_factory, samples, reissue, percentile, budget, chunk
+    ):
+        self.check(
+            tmp_path_factory.mktemp("logs"),
+            compute_optimal_singled_chunked,
+            compute_optimal_singled,
+            samples, reissue, percentile, budget, chunk,
+        )
+
+    def test_distinct_reissue_log(self, tmp_path, rng):
+        rx = rng.lognormal(2.0, 0.6, 5000)
+        ry = rng.lognormal(1.5, 0.4, 3000)
+        self.check(
+            tmp_path, compute_optimal_singler_chunked, compute_optimal_singler,
+            rx, ry, 0.99, 0.05, 777,
+        )
 
     def test_release_called_between_chunks(self, rng):
         rx = np.sort(rng.exponential(5.0, 2000))
@@ -180,8 +203,11 @@ class TestSolverIntegration:
 
     def test_empirical_store_fit_memory_is_bounded(self, tmp_path, rng):
         """A 1M-sample fit from the store peaks at a fixed working set
-        (~25 MB traced, the same at 2M), far below the resident fit's
-        ~210 MB; the answer stays bit-for-bit the resident one."""
+        (~25 MB traced, the same at 2M). The resident fit adds its sort
+        copy and the 8 MB first-occurrence table (~40 MB traced): more
+        than the store's bound, less than the broadcast sweep's O(N)
+        temporaries once were (~210 MB). The answer stays bit-for-bit
+        the resident one."""
         samples = rng.lognormal(2.0, 0.6, 1_000_000)
         path = make_store(
             tmp_path / "large.store", samples,
@@ -196,6 +222,7 @@ class TestSolverIntegration:
             solve, FitRequest(rx=samples, **kwargs), "empirical"
         )
         assert resident_peak > 32 * 2**20  # the bound tells the paths apart
+        assert resident_peak < 64 * 2**20, f"resident peak {resident_peak}"
         assert bits(store.fit) == bits(mem.fit)
 
 
