@@ -134,90 +134,48 @@ class AdaptiveSingleROptimizer:
         )
 
     def apply_step(
-        self, current, fit: SingleRFit, result: RunResult
-    ) -> tuple[float, float]:
+        self, current: SingleR, fit: SingleRFit, result: RunResult
+    ) -> SingleR:
         """The §4.3 update rule: ``d' = d + λ(d_local - d)`` with ``q``
-        rebalanced to spend B against the observed survival.
-
-        The one implementation shared by :meth:`step`,
-        :meth:`optimize`, and the lockstep grid driver
-        (:func:`repro.optimize.fit_singler_grid`) — returns the
-        ``(delay, prob)`` pair so callers can build whichever policy
-        family they are adapting.
-        """
+        rebalanced to spend B against the observed survival."""
         d_new = current.delay + self.learning_rate * (fit.delay - current.delay)
         rx_sorted = np.sort(result.primary_response_times)
         surv = 1.0 - discrete_cdf(rx_sorted, d_new)
         q_new = 1.0 if surv <= self.budget else self.budget / surv
-        return float(d_new), float(q_new)
+        return SingleR(float(d_new), float(q_new))
 
     def step(self, current: SingleR, result: RunResult) -> SingleR:
         """One refinement step: d' = d + λ(d_local - d); q rebalanced to B."""
-        fit = self.fit_from_run(result)
-        return SingleR(*self.apply_step(current, fit, result))
-
-    def advance(
-        self,
-        policy,
-        result: RunResult,
-        trial: int,
-        out: "AdaptiveResult",
-        make=SingleR,
-    ) -> tuple:
-        """Fold one measured run into an adaptive chain.
-
-        The single trial body shared by :meth:`optimize` and the
-        lockstep grid driver (:func:`repro.optimize.fit_singler_grid`):
-        refit from the run, record the :class:`AdaptiveTrial` on
-        ``out``, check convergence, and either finish the chain
-        (returns ``(policy, True)`` with ``out`` finalized) or step to
-        the next policy (returns ``(next_policy, False)``).
-        """
-        fit = self.fit_from_run(result)
-        actual = result.tail(self.percentile)
-        out.trials.append(
-            AdaptiveTrial(
-                trial=trial,
-                policy=policy,
-                predicted_tail=fit.predicted_tail,
-                actual_tail=actual,
-                reissue_rate=result.reissue_rate,
-                utilization=result.utilization,
-            )
-        )
-        if self._converged(fit.predicted_tail, actual, result) and trial > 0:
-            out.converged = True
-            out.policy = policy
-            return policy, True
-        return make(*self.apply_step(policy, fit, result)), False
+        return self.apply_step(current, self.fit_from_run(result), result)
 
     def optimize(
         self,
         system: SystemUnderTest,
         trials: int = 10,
         rng: RngLike = None,
-        policy_factory=None,
     ) -> AdaptiveResult:
-        """Run the full adaptive loop for up to ``trials`` iterations.
-
-        ``policy_factory(delay, prob)`` may be supplied to adapt a policy
-        family other than SingleR (the paper uses the same loop to tune
-        SingleD's delay so its *measured* budget meets B; see
-        :func:`adapt_singled`).
-        """
+        """Run the full adaptive loop for up to ``trials`` iterations."""
         rng = as_rng(rng)
-        make = policy_factory or SingleR
-        policy = (
-            make(0.0, self.budget)
-            if policy_factory is None
-            else make(0.0, self.budget)
-        )
+        policy = self.initial_policy()
         out = AdaptiveResult(policy=policy)
         for trial in range(trials):
             result = system.run(policy, rng)
-            policy, done = self.advance(policy, result, trial, out, make)
-            if done:
-                return out
+            fit = self.fit_from_run(result)
+            actual = result.tail(self.percentile)
+            out.trials.append(
+                AdaptiveTrial(
+                    trial=trial,
+                    policy=policy,
+                    predicted_tail=fit.predicted_tail,
+                    actual_tail=actual,
+                    reissue_rate=result.reissue_rate,
+                    utilization=result.utilization,
+                )
+            )
+            if self._converged(fit.predicted_tail, actual, result) and trial > 0:
+                out.converged = True
+                break
+            policy = self.apply_step(policy, fit, result)
         out.policy = policy
         return out
 

@@ -108,24 +108,3 @@ class SystemUnderTest(Protocol):
     def run(self, policy: ReissuePolicy, rng: RngLike = None) -> RunResult:
         """Execute the workload once under ``policy``."""
         ...
-
-
-@runtime_checkable
-class BatchSystem(SystemUnderTest, Protocol):
-    """A system that can execute many seed-paired replications in one call.
-
-    The contract (guaranteed by the fastsim layer and checked by
-    ``tests/test_fastsim_equivalence.py``): each element of
-    ``run_batch(policy, seeds)`` is bit-for-bit what
-    ``run(policy, as_rng(seed))`` returns for the matching seed — batching
-    changes scheduling, never results.
-    """
-
-    def run_batch(self, policy: ReissuePolicy, seeds) -> list[RunResult]:
-        """Execute one seed-paired replication per entry of ``seeds``."""
-        ...
-
-
-def supports_batch(system) -> bool:
-    """Capability check used by ``median_tail`` and the pipeline executor."""
-    return callable(getattr(system, "run_batch", None))

@@ -117,11 +117,9 @@ def median_tail(
 ) -> tuple[float, float]:
     """(median k-th percentile latency, median reissue rate) over seeds.
 
-    Systems with the ``supports_batch`` capability (the queueing cluster
-    and the §6 substrates) go through the fastsim batch layer via
-    :func:`repro.fastsim.run_replications`; each replication there is
-    bit-for-bit what ``run(policy, seed)`` returns, so the protocol is
-    unchanged — only cheaper.
+    The replications run through :func:`repro.fastsim.run_replications`,
+    a loop of ``run(policy, seed)`` per seed (traced as one
+    ``fastsim.batch`` span).
     """
     from ..fastsim import run_replications
 

@@ -1,4 +1,4 @@
-"""repro.fastsim — vectorized batch-replication layer for the §5 engine.
+"""repro.fastsim — the fast replication kernel for the §5 engine.
 
 The discrete-event cluster simulation is the inner loop of every paper
 figure: each plotted point is a median over seed-paired replications, and
@@ -26,13 +26,7 @@ seed (``tests/test_fastsim_equivalence.py`` enforces this across the
 policy × discipline × balancer × cancellation matrix, per tier).
 """
 
-from .batch import (
-    ReplicationSpec,
-    batch_over_seeds,
-    run_policy_batch,
-    run_replications,
-    simulate_batch,
-)
+from .batch import ReplicationSpec, run_replications, simulate_batch
 from .kernel import (
     TIERS,
     kernel_info,
@@ -45,10 +39,8 @@ from .kernel import (
 __all__ = [
     "ReplicationSpec",
     "TIERS",
-    "batch_over_seeds",
     "kernel_info",
     "resolve_tier",
-    "run_policy_batch",
     "run_replications",
     "simulate_batch",
     "simulate_replication",

@@ -1,24 +1,25 @@
 """Batch replication API: many independent cluster runs, one call.
 
-A *batch* is a sequence of :class:`ReplicationSpec`s — each an
-independent (config, policy, seed) replication, e.g. the seed-paired
-median protocol of the figure drivers or a budget grid's worth of
-fitted policies. :func:`simulate_batch` runs them through the fast
-kernel sequentially, sharing no state between replications —
-determinism is per-spec, keyed only by the spec's seed — and
-``parallel.sweep.run_sweep(..., chunk_size=...)`` distributes whole
-batches across worker processes for multi-core scaling.
+A *batch* is a sequence of independent replications — e.g. the
+seed-paired median protocol of the figure drivers. Both entry points
+are plain loops over the single-replication kernel, sharing no state
+between replications, so determinism is per replication, keyed only by
+its seed:
 
-Each replication's result is bit-for-bit identical to
-``simulate_cluster(config, policy, seed)`` — the single-run entry point
-is itself a one-spec batch.
+* :func:`simulate_batch` runs :class:`ReplicationSpec`\\ s (config,
+  policy, seed) through the fast kernel;
+* :func:`run_replications` runs one policy over a seed list on any
+  :class:`~repro.core.interfaces.SystemUnderTest`; element ``i`` is
+  ``system.run(policy, as_rng(seeds[i]))``.
+
+Under tracing both get the same batch-level span and counters.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ..core.interfaces import RunResult
 from ..core.policies import ReissuePolicy
@@ -26,7 +27,7 @@ from ..distributions.base import RngLike, as_rng
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
 from ..simulation.engine import ClusterConfig
-from .kernel import simulate_replication_tiered
+from .kernel import simulate_replication, tier_counts
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,72 @@ def simulate_batch(
     ``tier`` pins a kernel tier for the whole batch (see
     :func:`repro.fastsim.kernel.simulate_replication_tiered`); ``None``
     defers to ``REPRO_KERNEL`` / automatic selection.
+    """
+    specs = list(specs)
 
-    Under tracing the batch gets one span (batch-level, never
-    per-event): replications and queries processed, throughput, and
-    which kernel tiers actually executed (``kernel_tier`` is the
-    dominant tier, ``kernel_tiers`` the per-tier replication counts — a
-    silent structural fallback shows up here instead of just running
-    slow). With the default null tracer the hot loop is untouched — a
-    single ``enabled`` branch.
+    def run() -> list[RunResult]:
+        results = []
+        for spec in specs:
+            result = simulate_replication(
+                spec.config, spec.policy, as_rng(spec.seed), tier=tier
+            )
+            if spec.key:
+                result.meta["key"] = spec.key
+            results.append(result)
+        return results
+
+    return _instrumented(run, len(specs))
+
+
+def run_replications(
+    system, policy: ReissuePolicy, seeds: Sequence[RngLike]
+) -> list[RunResult]:
+    """Seed-paired replications on any :class:`SystemUnderTest`.
+
+    Element ``i`` is ``system.run(policy, as_rng(seeds[i]))`` — this is
+    the single choke point the evaluation protocol (``median_tail``, the
+    pipeline executor, the budget search) funnels through.
+    """
+    seeds = list(seeds)
+    return _instrumented(
+        lambda: [system.run(policy, as_rng(s)) for s in seeds],
+        len(seeds),
+        system=type(system).__name__,
+    )
+
+
+def _instrumented(
+    run: Callable[[], list[RunResult]], n: int, **attrs
+) -> list[RunResult]:
+    """Run a batch, under tracing inside one ``fastsim.batch`` span.
+
+    The span is batch-level, never per-event: replications and queries
+    processed, throughput, and which kernel tiers actually executed,
+    taken from the :func:`tier_counts` difference (``kernel_tier`` is
+    the dominant tier, ``kernel_tiers`` the per-tier replication counts,
+    ``{}`` for systems that never touch the kernel) — a silent
+    structural fallback shows up here instead of just running slow.
+    With the default null tracer the hot loop is untouched — a single
+    ``enabled`` branch.
     """
     tracer = get_tracer()
     if not tracer.enabled:
-        return _simulate_batch(specs, tier)[0]
-    specs = list(specs)
-    with tracer.span("fastsim.batch", n_replications=len(specs)) as span:
+        return run()
+    with tracer.span("fastsim.batch", n_replications=n, **attrs) as span:
+        before = tier_counts()
         t0 = time.perf_counter()
-        results, tiers = _simulate_batch(specs, tier)
+        results = run()
         elapsed = time.perf_counter() - t0
+        tiers = {
+            name: count - before[name]
+            for name, count in tier_counts().items()
+            if count > before[name]
+        }
         queries = sum(r.n_queries for r in results)
         span.attrs["queries"] = queries
+        span.attrs["kernel_tiers"] = tiers
         if tiers:
             span.attrs["kernel_tier"] = max(tiers, key=tiers.get)
-            span.attrs["kernel_tiers"] = dict(tiers)
         metrics = get_metrics()
         metrics.counter("fastsim.replications").inc(len(results))
         metrics.counter("fastsim.queries_processed").inc(queries)
@@ -95,80 +140,3 @@ def simulate_batch(
             )
             metrics.gauge("fastsim.queries_per_sec").set(queries / elapsed)
     return results
-
-
-def _simulate_batch(
-    specs: Iterable[ReplicationSpec], tier: str | None = None
-) -> tuple[list[RunResult], dict[str, int]]:
-    results: list[RunResult] = []
-    tiers: dict[str, int] = {}
-    for spec in specs:
-        run, executed = simulate_replication_tiered(
-            spec.config, spec.policy, as_rng(spec.seed), tier=tier
-        )
-        tiers[executed] = tiers.get(executed, 0) + 1
-        if spec.key:
-            run.meta["key"] = spec.key
-        results.append(run)
-    return results, tiers
-
-
-def batch_over_seeds(
-    config: ClusterConfig,
-    policy: ReissuePolicy,
-    seeds: Sequence[int],
-) -> list[RunResult]:
-    """The figure drivers' shape: one policy, seed-paired replications."""
-    return simulate_batch(
-        [ReplicationSpec(config, policy, seed=s) for s in seeds]
-    )
-
-
-def run_policy_batch(system, items: Sequence[tuple]):
-    """Heterogeneous-policy batch: one replication per ``(policy, rng)``.
-
-    The optimize layer's grid fitting runs many adaptive chains in
-    lockstep — each round is one batch of *different* policies, each
-    carrying its own generator so chain ``k`` consumes randomness
-    exactly as a standalone serial fit would. Systems exposing a
-    ``batch_config`` :class:`~repro.simulation.engine.ClusterConfig`
-    (the queueing workload) execute through :func:`simulate_batch`
-    directly; anything else falls back to per-item ``run`` calls, which
-    already share the fast kernel. Element ``i`` is bit-for-bit
-    ``system.run(items[i][0], items[i][1])``.
-    """
-    config = getattr(system, "batch_config", None)
-    if isinstance(config, ClusterConfig):
-        return simulate_batch(
-            [ReplicationSpec(config, policy, seed=rng) for policy, rng in items]
-        )
-    return [system.run(policy, as_rng(rng)) for policy, rng in items]
-
-
-def run_replications(system, policy: ReissuePolicy, seeds: Sequence[int]):
-    """Seed-paired replications on any :class:`SystemUnderTest`.
-
-    Systems advertising the :func:`repro.core.interfaces.supports_batch`
-    capability (the queueing cluster and the §6 substrates) go through
-    their ``run_batch`` fast path; everything else falls back to one
-    ``run`` per seed. Either way element ``i`` is bit-for-bit
-    ``system.run(policy, as_rng(seeds[i]))`` — this is the single choke
-    point the evaluation protocol (``median_tail``, the pipeline
-    executor) funnels through.
-    """
-    from ..core.interfaces import supports_batch
-
-    tracer = get_tracer()
-    if not tracer.enabled:
-        if supports_batch(system):
-            return system.run_batch(policy, list(seeds))
-        return [system.run(policy, as_rng(s)) for s in seeds]
-    with tracer.span(
-        "fastsim.run_replications",
-        system=type(system).__name__,
-        n_seeds=len(list(seeds)),
-        batched=supports_batch(system),
-    ):
-        if supports_batch(system):
-            return system.run_batch(policy, list(seeds))
-        return [system.run(policy, as_rng(s)) for s in seeds]

@@ -6,8 +6,8 @@ candidate-budget evaluations, serving race outcomes. The registry is
 *mergeable* exactly like :class:`~repro.serving.metrics.ServingMetrics`:
 counters add, quantile sketches merge through
 :class:`~repro.structures.tdigest.TDigest`, and the pool hand-off in
-``parallel.sweep`` ships each worker's registry back with its results so
-a parallel run's metrics equal the serial run's.
+``pipeline.executor.run_jobs`` ships each worker's registry back with
+its results so a parallel run's metrics equal the serial run's.
 
 Metric types
 ------------

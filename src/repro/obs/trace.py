@@ -25,8 +25,8 @@ one to a ``with`` block.
 
 Process-pool hand-off
 ---------------------
-``parallel.sweep`` dispatches work to worker processes, which cannot
-share the parent's tracer. The hand-off is explicit:
+The pipeline executor (``pipeline.executor.run_jobs``) dispatches work
+to worker processes, which cannot share the parent's tracer. The hand-off is explicit:
 
 1. parent captures :func:`snapshot_context` (trace id + current span id,
    a small picklable dict) and ships it with the job;

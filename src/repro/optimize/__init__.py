@@ -17,8 +17,8 @@ through the :data:`SOLVERS` registry::
 
 Solvers: ``empirical`` (vectorized Figure-1 sweep), ``correlated``
 (§4.2 conditional-CDF search), ``analytic`` (§2.3 closed-form),
-``simulated`` (§4.3 adaptive protocol, fastsim-batched over budget
-grids), ``online`` (the live autotuner's sliding-window refit rule),
+``simulated`` (§4.3 adaptive protocol, one fit per budget of a
+grid), ``online`` (the live autotuner's sliding-window refit rule),
 and the §4.4 budget strategies ``optimal-budget`` / ``sla-budget``.
 
 Every other fitting path in the repo — the figure drivers, the pipeline
@@ -34,7 +34,6 @@ from .solvers import (
     SOLVERS,
     correlated_probe_logs,
     fit_singled_protocol,
-    fit_singler_grid,
     fit_singler_protocol,
     solve,
     solver_names,
@@ -54,7 +53,6 @@ __all__ = [
     "solver_names",
     "fit_singler_protocol",
     "fit_singled_protocol",
-    "fit_singler_grid",
     "correlated_probe_logs",
     "simulated_budget_probe",
     "compute_optimal_singler_vectorized",

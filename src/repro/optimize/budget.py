@@ -4,8 +4,9 @@
 searches over an ``evaluate(budget) -> latency`` callback. These
 strategies supply the callback the paper actually uses — fit a SingleR
 at the trial budget with the §4.3 protocol, then measure the median
-tail over seed-paired replications through the fastsim batch layer —
-and register the pair as ``optimal-budget`` and ``sla-budget`` solvers.
+tail over seed-paired replications
+(:func:`repro.fastsim.run_replications`) — and register the pair as
+``optimal-budget`` and ``sla-budget`` solvers.
 
 The probe is exactly what :func:`repro.pipeline.cells.budget_search_cell`
 ran before this layer existed (that cell now delegates here), so fig7
@@ -43,7 +44,7 @@ def simulated_budget_probe(
     which is what lets :func:`find_optimal_budget` cache them) and
     evaluates it over the seed-paired replications via
     :func:`repro.fastsim.run_replications`, all probes being siblings
-    of the same batch protocol.
+    of the same seed-paired protocol.
     """
     from ..fastsim import run_replications
     from ..obs.metrics import get_metrics

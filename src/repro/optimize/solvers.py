@@ -9,8 +9,7 @@ kind exactly like the scenario layer's ``SYSTEMS``/``POLICIES``:
 * ``correlated``  — the §4.2 conditional-CDF search over paired logs;
 * ``analytic``    — the §2.3 closed-form-distribution optimization;
 * ``simulated``   — the §4.3 adaptive fit protocol against a live
-  system, with trial replications grouped through the fastsim batch
-  layer when a ``budgets`` grid is requested;
+  system, one fit per budget when a ``budgets`` grid is requested;
 * ``online``      — the sliding-window refit rule the live serving
   stack (:class:`~repro.core.online.OnlinePolicyController` behind
   :class:`~repro.serving.autotune.AutoTuner`) runs on every refit.
@@ -310,170 +309,64 @@ def _corner_policy(rx_sorted: np.ndarray, budget: float) -> SingleR:
     return SingleR(float(rx_sorted[idx]), 1.0)
 
 
-def fit_singler_grid(
-    system,
-    percentile: float,
-    budgets,
-    trials: int,
-    learning_rate: float = 0.5,
-    seed: RngLike = None,
-    use_correlation: bool = True,
-) -> list:
-    """Batched budget-grid fitting: K adaptive chains in lockstep.
-
-    Each budget's chain is seeded exactly like a standalone
-    :func:`fit_singler_protocol` call (a fresh generator from ``seed``),
-    so element ``k`` is bit-for-bit the serial fit at ``budgets[k]`` —
-    but every round's K trial replications are grouped into one
-    :func:`repro.fastsim.run_policy_batch` call, and the final
-    best-trial and corner probes batch the same way. The per-trial refit
-    inside each chain is the vectorized empirical sweep (or the §4.2
-    correlated fitter once enough probe pairs are observed).
-    """
-    from ..core.adaptive import AdaptiveResult, AdaptiveSingleROptimizer
-    from ..fastsim import run_policy_batch
-
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.event(
-            "optimize.grid_fit",
-            n_budgets=len(list(budgets)),
-            trials=trials,
-            percentile=percentile,
-        )
-    if seed is None or isinstance(seed, np.random.Generator):
-        raise ValueError(
-            "fit_singler_grid needs a stateless seed (int or "
-            "SeedSequence): a shared Generator would interleave across "
-            "chains and break per-chain equivalence with serial fits"
-        )
-    budgets = [float(b) for b in budgets]
-    chains = []
-    for b in budgets:
-        opt = AdaptiveSingleROptimizer(
-            percentile=percentile,
-            budget=b,
-            learning_rate=learning_rate,
-            use_correlation=use_correlation,
-        )
-        policy = SingleR(0.0, b)
-        chains.append(
-            {
-                "opt": opt,
-                "budget": b,
-                "rng": as_rng(seed),
-                "policy": policy,
-                "result": AdaptiveResult(policy=policy),
-                "done": False,
-            }
-        )
-
-    # -- the §4.3 loop, advanced one trial per round across all chains --
-    for trial in range(trials):
-        live = [c for c in chains if not c["done"]]
-        if not live:
-            break
-        runs = run_policy_batch(
-            system, [(c["policy"], c["rng"]) for c in live]
-        )
-        for c, run in zip(live, runs):
-            c["policy"], c["done"] = c["opt"].advance(
-                c["policy"], run, trial, c["result"]
-            )
-    for c in chains:
-        if not c["done"]:
-            c["result"].policy = c["policy"]
-
-    # -- best-trial selection + corner probes, two more batched rounds --
-    bests = [_best_trial(c["result"], c["budget"]) for c in chains]
-    best_runs = run_policy_batch(
-        system, [(b.policy, c["rng"]) for b, c in zip(bests, chains)]
-    )
-    corners = [
-        _corner_policy(np.sort(run.primary_response_times), c["budget"])
-        for run, c in zip(best_runs, chains)
-    ]
-    corner_runs = run_policy_batch(
-        system, [(p, c["rng"]) for p, c in zip(corners, chains)]
-    )
-    fitted = []
-    for best, corner, corner_run, c in zip(bests, corners, corner_runs, chains):
-        if (
-            corner_run.reissue_rate <= 1.5 * c["budget"]
-            and corner_run.tail(percentile) < best.actual_tail
-        ):
-            fitted.append(corner)
-        else:
-            fitted.append(best.policy)
-    return fitted
-
-
 @SOLVERS.register(
     "simulated",
-    summary="§4.3 adaptive fit against a live system (fastsim-batched)",
+    summary="§4.3 adaptive fit against a live system",
 )
 def solve_simulated(request: FitRequest) -> FitResult:
     system = request.resolved_system("simulated")
     use_correlation = bool(request.options.get("use_correlation", True))
-    if request.budgets:
+
+    def fit(budget: float):
         if request.family == "single-d":
-            policies = [
-                fit_singled_protocol(
-                    system,
-                    request.percentile,
-                    b,
-                    request.trials,
-                    rng=as_rng(request.seed),
-                )
-                for b in request.budgets
-            ]
-        else:
-            policies = fit_singler_grid(
+            return fit_singled_protocol(
                 system,
                 request.percentile,
-                request.budgets,
+                budget,
                 request.trials,
-                learning_rate=request.learning_rate,
-                seed=request.seed,
-                use_correlation=use_correlation,
+                rng=as_rng(request.seed),
             )
-        # Representative policy: the grid point nearest the request's
-        # declared budget (the full grid rides in ``policies``).
-        rep = policies[
-            int(np.argmin([abs(b - request.budget) for b in request.budgets]))
-        ]
-        return FitResult(
-            solver="simulated",
-            family=request.family,
-            policy=rep,
-            request=request,
-            policies=tuple(policies),
-            meta={"n_budgets": len(policies)},
-        )
-    if request.family == "single-d":
-        policy = fit_singled_protocol(
+        return fit_singler_protocol(
             system,
             request.percentile,
-            request.budget,
-            request.trials,
-            rng=as_rng(request.seed),
-        )
-    else:
-        policy = fit_singler_protocol(
-            system,
-            request.percentile,
-            request.budget,
+            budget,
             request.trials,
             learning_rate=request.learning_rate,
             rng=as_rng(request.seed),
             use_correlation=use_correlation,
         )
+
+    if not request.budgets:
+        return FitResult(
+            solver="simulated",
+            family=request.family,
+            policy=fit(request.budget),
+            request=request,
+            meta={"trials": request.trials},
+        )
+    if request.family == "single-r" and (
+        request.seed is None or isinstance(request.seed, np.random.Generator)
+    ):
+        raise ValueError(
+            "a simulated single-r budget grid needs a stateless seed (int "
+            "or SeedSequence): with a shared Generator each budget's fit "
+            "would depend on the fits before it, and None is not "
+            "reproducible"
+        )
+    # One independent §4.3 fit per grid budget, each seeded afresh.
+    policies = [fit(b) for b in request.budgets]
+    # Representative policy: the grid point nearest the request's
+    # declared budget (the full grid rides in ``policies``).
+    rep = policies[
+        int(np.argmin([abs(b - request.budget) for b in request.budgets]))
+    ]
     return FitResult(
         solver="simulated",
         family=request.family,
-        policy=policy,
+        policy=rep,
         request=request,
-        meta={"trials": request.trials},
+        policies=tuple(policies),
+        meta={"n_budgets": len(policies)},
     )
 
 
@@ -548,7 +441,6 @@ __all__ = [
     "solve_online",
     "fit_singler_protocol",
     "fit_singled_protocol",
-    "fit_singler_grid",
     "fit_singled_policy",
     "correlated_probe_logs",
 ]

@@ -18,9 +18,9 @@ explicit stages:
     executable waves.
 ``execute``
     :func:`execute_plan` runs ready cells wave by wave: evaluation cells
-    sharing a (system, policy) pair are grouped into ``fastsim``
-    ``run_batch`` batches, work is spread across worker processes via
-    ``parallel.sweep``'s deterministic pool, and every cell value is
+    sharing a (system, policy) pair are grouped into one seed-loop job,
+    jobs run inline or in chunks on a process pool
+    (:func:`~repro.pipeline.executor.run_jobs`), and every cell value is
     memoized in a content-addressed on-disk cache so re-runs and scale
     upgrades resume instead of recompute. Serial, parallel, and cached
     executions are bit-for-bit identical.

@@ -79,11 +79,13 @@ def evaluate_replications(
     percentiles: Sequence[float] = (),
     measure: Sequence[str] = ("tails", "reissue_rate"),
 ) -> list[dict]:
-    """Seed-paired replications through the fastsim batch layer.
+    """Seed-paired replications via :func:`repro.fastsim.run_replications`.
 
-    This is the executor's batch job: ready evaluation cells sharing a
-    (system, policy) pair are grouped into one call so batch-capable
-    systems amortize setup across the whole seed set.
+    This is the executor's group job: ready evaluation cells sharing a
+    (system, policy) pair become one call over their seeds, so one job
+    (one dispatch, one build of the system) serves the whole seed set.
+    Each summary is the one :func:`evaluate_replication` gives for its
+    seed alone.
     """
     runs = run_replications(_build(system), policy, list(seeds))
     return [summarize_run(run, percentiles, measure) for run in runs]

@@ -1,15 +1,16 @@
-"""Execute a compiled plan: batch, parallelize, cache.
+"""Execute a compiled plan: group, dispatch, cache.
 
 The executor walks the plan's waves. In each wave it:
 
 1. resolves every cell's dependencies against already-computed values;
 2. serves cells whose fingerprint is in the result cache;
 3. groups the remaining evaluation cells by (system, policy, measures)
-   into ``fastsim`` ``run_batch`` batches — one job per group — and
-   wraps every other cell as its own job;
-4. dispatches the wave's jobs serially or across
-   ``parallel.sweep``'s deterministic process pool, then scatters batch
-   results back to their cells and writes each value to the cache.
+   into one job each — a seed loop through
+   :func:`repro.fastsim.run_replications` — and wraps every other cell
+   as its own job;
+4. runs the wave's jobs through :func:`run_jobs`, inline or in chunks
+   on a process pool, then scatters group results back to their cells
+   and writes each value to the cache.
 
 Because every cell derives randomness only from its own seed parameters,
 the three execution modes (serial, process-parallel, cache-replay) are
@@ -21,11 +22,10 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Mapping, Sequence
 
-from ..obs.metrics import get_metrics
-from ..obs.trace import get_tracer
-from ..parallel.sweep import Job, run_jobs
+from ..obs.metrics import get_metrics, metrics_scope
+from ..obs.trace import absorb, get_tracer, remote_context, snapshot_context
 from .cache import ResultCache
 from .cells import evaluate_replication, evaluate_replications
 from .fingerprint import fingerprint
@@ -33,6 +33,69 @@ from .plan import Plan, compile_plan
 from .spec import Cell, ExperimentSpec, Results
 
 _PENDING = object()
+
+
+@dataclass(frozen=True)
+class Job:
+    """One unit of a wave: ``fn(**kwargs)`` labelled by key.
+
+    ``fn`` must be module-level (pool workers unpickle it by reference)
+    and must take any randomness from ``kwargs`` (seeds), never from
+    ambient state, so a job's value does not depend on where it runs.
+    """
+
+    key: str
+    fn: Callable[..., Any]
+    kwargs: Mapping[str, Any] = field(default_factory=dict)
+
+
+def _run_job(job: Job) -> Any:
+    with get_tracer().span("pipeline.cell", key=job.key):
+        return job.fn(**job.kwargs)
+
+
+def _run_chunk(chunk: Sequence[Job], obs_ctx: dict | None) -> tuple:
+    """Pool-worker side: run a chunk of jobs in order.
+
+    Under tracing the worker buffers its spans under the parent's
+    shipped context and its metrics in a fresh registry, and returns
+    both with the values for the parent to re-absorb.
+    """
+    with remote_context(obs_ctx) as tracer, metrics_scope() as registry:
+        values = [_run_job(job) for job in chunk]
+        spans = tuple(s.as_dict() for s in tracer.drain())
+    return values, spans, registry if len(registry) else None
+
+
+def run_jobs(
+    jobs: Sequence[Job], pool: ProcessPoolExecutor | None = None
+) -> list:
+    """Values of ``jobs``, in job order.
+
+    With no ``pool`` every job runs inline. With one, the jobs go out
+    in contiguous chunks of ``ceil(len(jobs) / (4 * workers))`` — a few
+    chunks per worker for load balance — and the workers' spans and
+    metrics come home with the values, so parallel jobs trace like
+    inline ones. A failing job raises its own exception on both paths
+    (from a pool, with the worker traceback chained as ``__cause__``).
+    """
+    if pool is None:
+        return [_run_job(job) for job in jobs]
+    # ProcessPoolExecutor keeps its width only in this attribute.
+    size = max(1, -(-len(jobs) // (4 * pool._max_workers)))
+    obs_ctx = snapshot_context()  # None unless tracing is enabled
+    futures = [
+        pool.submit(_run_chunk, jobs[i : i + size], obs_ctx)
+        for i in range(0, len(jobs), size)
+    ]
+    values: list = []
+    for future in futures:
+        chunk_values, spans, registry = future.result()
+        absorb(spans)
+        if registry is not None:
+            get_metrics().merge(registry)
+        values.extend(chunk_values)
+    return values
 
 
 @dataclass
@@ -133,7 +196,7 @@ def _execute_waves(
         with tracer.span(
             "pipeline.wave", wave=report.n_waves, cells=len(wave)
         ) as wave_span:
-            _execute_wave(plan, wave, report, values, cache, pool_holder, tracer)
+            _execute_wave(plan, wave, report, values, cache, pool_holder)
             hits = report.cache_hits - before[0]
             misses = report.cache_misses - before[1]
             jobs = report.n_jobs - before[2]
@@ -169,7 +232,6 @@ def _execute_wave(
     values: dict[str, Any],
     cache: ResultCache | None,
     pool_holder: list,
-    tracer,
 ) -> None:
     pending: list[tuple[str, dict]] = []
     for key in wave:
@@ -187,7 +249,8 @@ def _execute_wave(
         return
 
     # Group ready evaluation replications by (system, policy, measures)
-    # so batch-capable systems run all seeds in one fastsim call.
+    # into one job per group: it sets the job granularity (and the
+    # per-wave job/batch stats).
     jobs: list[Job] = []
     scatter: dict[str, list[str]] = {}  # job key -> cell keys (in order)
     groups: dict[str, str] = {}  # group fingerprint -> job key
@@ -227,37 +290,13 @@ def _execute_wave(
         report.n_batched_cells += len(scatter[job_key])
     report.n_jobs += len(jobs)
 
+    pool = None
     if report.workers > 1 and len(jobs) > 1:
         if pool_holder[0] is None:
             pool_holder[0] = ProcessPoolExecutor(max_workers=report.workers)
-        chunk = 1 if len(jobs) <= 4 * report.workers else None
-        # run_jobs ships the trace context to the workers and re-absorbs
-        # their span buffers, so parallel cells trace like serial ones.
-        outcomes = run_jobs(
-            jobs,
-            n_workers=report.workers,
-            chunk_size=chunk,
-            pool=pool_holder[0],
-        )
-        failed = [r for r in outcomes if not r.ok]
-        if failed:
-            detail = "; ".join(f"{r.key}: {r.error}" for r in failed[:5])
-            raise RuntimeError(
-                f"{plan.spec.experiment_id}: {len(failed)} pipeline "
-                f"cell(s) failed: {detail}"
-            )
-        out_by_key = {r.key: r.value for r in outcomes}
-    elif tracer.enabled:
-        out_by_key = {}
-        for job in jobs:
-            with tracer.span("pipeline.cell", key=job.key):
-                out_by_key[job.key] = job.fn(**dict(job.kwargs))
-    else:
-        out_by_key = {job.key: job.fn(**dict(job.kwargs)) for job in jobs}
-
-    for job in jobs:
+        pool = pool_holder[0]
+    for job, value in zip(jobs, run_jobs(jobs, pool)):
         cell_keys = scatter[job.key]
-        value = out_by_key[job.key]
         per_cell = value if job.key.startswith("batch/") else [value]
         for cell_key, cell_value in zip(cell_keys, per_cell):
             values[cell_key] = cell_value

@@ -123,7 +123,8 @@ class Cell:
 
     ``kind`` steers the executor: ``"eval"`` cells are single
     (system, policy, seed) replications that the executor groups into
-    ``run_batch`` batches; ``"fit"`` and ``"reduce"`` cells run as-is.
+    one seed-loop job per (system, policy); ``"fit"`` and ``"reduce"``
+    cells run as-is.
     """
 
     key: str

@@ -7,7 +7,7 @@ is that claim as an API: a :class:`Scenario` (workload + system + policy
 any registered engine and yields the same ``RunResult``-based report:
 
 * ``reference`` — the §5 discrete-event simulation, unbatched;
-* ``fastsim``   — vectorized batch replications (bit-for-bit equal);
+* ``fastsim``   — the same replications, traced per batch (bit-for-bit equal);
 * ``pipeline``  — cached / process-parallel execution;
 * ``serving``   — a live asyncio :class:`HedgedClient` run.
 

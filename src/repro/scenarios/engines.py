@@ -11,10 +11,10 @@ facade wraps whichever one is selected into the common
   discrete-event simulation (or closed-form infinite-server executor),
   unbatched. The ground truth.
 * ``fastsim`` — the same replications through
-  :func:`repro.fastsim.run_replications`, which routes batch-capable
-  systems through their vectorized ``run_batch``. Bit-for-bit equal to
-  ``reference`` per seed (that is fastsim's contract, and
-  ``tests/test_scenarios_engines.py`` re-checks it per registered
+  :func:`repro.fastsim.run_replications` (the same seed loop, traced as
+  one ``fastsim.batch`` span and reporting the kernel tiers that ran).
+  Bit-for-bit equal to ``reference`` per seed
+  (``tests/test_scenarios_engines.py`` re-checks it per registered
   system).
 * ``pipeline`` — each replication becomes a cell in an auto-generated
   :class:`~repro.pipeline.spec.ExperimentSpec`, executed by the cached /
@@ -227,7 +227,7 @@ def run_reference(
 def run_fastsim(
     scenario: Scenario, seeds: Sequence[int], **options
 ) -> tuple[list[RunResult], dict]:
-    """Seed-paired replications through the fastsim batch layer.
+    """Seed-paired replications through :func:`repro.fastsim.run_replications`.
 
     Besides the runs, reports which kernel tiers actually executed
     (``meta["fastsim"]``, surfaced in ``ScenarioReport.summary()``), so

@@ -146,20 +146,10 @@ class QueueingSystem:
 
     @property
     def batch_config(self) -> ClusterConfig:
-        """The replication config heterogeneous-policy batches run on
-        (:func:`repro.fastsim.run_policy_batch`); ``run`` is exactly one
-        replication of it, so batching cannot change results."""
+        """The replication config ``run`` executes: a
+        :class:`~repro.fastsim.ReplicationSpec` built on it reproduces
+        ``run`` bit for bit."""
         return self.config
-
-    def run_batch(self, policy: ReissuePolicy, seeds) -> list[RunResult]:
-        """Seed-paired replications through the fastsim batch layer.
-
-        Each element is bit-for-bit what ``run(policy, seed)`` returns —
-        the batch path only changes how the work is scheduled.
-        """
-        from ..fastsim import batch_over_seeds
-
-        return batch_over_seeds(self.config, policy, seeds)
 
 
 # -- paper-default factories -------------------------------------------------

@@ -489,6 +489,10 @@ class TraceWriter:
     ``mode="a"`` re-opens an existing store and appends to its *last*
     segment (the partial final block is re-buffered); appending clears
     the sorted flag since new records arrive unordered.
+
+    Used as a context manager, a writer that exits on an exception
+    leaves the disk as it found it: a new store is removed, and an
+    appended store is restored to its bytes before the writer opened.
     """
 
     def __init__(
@@ -511,6 +515,9 @@ class TraceWriter:
         self._appended = 0
         self._closed = False
         self._append_mode = mode == "a" and os.path.exists(self.path)
+        # Append mode: (offset, bytes) of the file tail this writer cut,
+        # so a failed append can put it back.
+        self._cut: tuple[int, bytes] | None = None
 
         if self._append_mode:
             self._open_append(block_records)
@@ -547,7 +554,10 @@ class TraceWriter:
             seg.blocks.pop()
         reader.close()
         self._fh = open(self.path, "r+b")
-        self._fh.seek(seg.offset + seg.records * seg.width * 8)
+        offset = seg.offset + seg.records * seg.width * 8
+        self._fh.seek(offset)
+        self._cut = (offset, self._fh.read())
+        self._fh.seek(offset)
         self._fh.truncate()
 
     # -- segments ------------------------------------------------------------
@@ -720,10 +730,22 @@ class TraceWriter:
         if exc[0] is None:
             self.close()
         else:
-            # Leave no half-written store behind on error.
-            try:
-                self._fh.close()
-            except Exception:
-                pass
-            self._closed = True
+            self._abort()
         return False
+
+    def _abort(self) -> None:
+        """Undo the writer's changes on disk (the header and sidecar are
+        only rewritten by ``close``, so the data bytes are all that moved)."""
+        if self._closed:
+            return
+        self._closed = True
+        with self._fh:
+            if self._cut is not None:
+                offset, tail = self._cut
+                self._fh.seek(offset)
+                self._fh.write(tail)
+                self._fh.truncate()
+        if self._cut is None:
+            for path in (self.path, sidecar_path(self.path)):
+                if os.path.exists(path):
+                    os.remove(path)

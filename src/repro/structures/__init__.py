@@ -1,12 +1,9 @@
-"""Data structures: CDF cursors, range queries, sketches."""
+"""Data structures: range queries, sketches."""
 
-from .ecdf import EmpiricalCdf, MonotoneCdfCursor
 from .range2d import MergeSortTree
 from .tdigest import TDigest
 
 __all__ = [
-    "EmpiricalCdf",
-    "MonotoneCdfCursor",
     "MergeSortTree",
     "TDigest",
 ]

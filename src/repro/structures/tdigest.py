@@ -1,7 +1,7 @@
 """A compact t-digest for mergeable quantile sketches.
 
-Used by the parallel sweep runner to merge per-process latency sketches
-without shipping raw sample arrays between workers. This is the
+Used by the serving and obs metric registries to merge per-process
+latency sketches without shipping raw sample arrays between processes. This is the
 merging-buffer variant (Dunning & Ertl) with the k1 scale function.
 """
 

@@ -153,16 +153,6 @@ class RedisClusterSystem:
         result.meta["target_utilization"] = self.utilization
         return result
 
-    def run_batch(self, policy: ReissuePolicy, seeds) -> list[RunResult]:
-        """Seed-paired replications via the fastsim batch layer."""
-        from ..fastsim import batch_over_seeds
-
-        results = batch_over_seeds(self._config, policy, seeds)
-        for result in results:
-            result.meta["system"] = "redis-set-intersection"
-            result.meta["target_utilization"] = self.utilization
-        return results
-
     def service_time_sample(self, n: int = 40_000, rng: RngLike = None) -> np.ndarray:
         """Pure service times (no queueing) — the fig9 histogram input."""
         return self.workload.sample_primary(n, as_rng(rng))

@@ -54,10 +54,9 @@ class TestMedianTail:
         assert baseline_tail(system, 0.95, (1, 2)) > 0
 
     def test_batch_path_matches_seed_loop(self):
-        # QueueingSystem exposes run_batch → median_tail takes the
-        # fastsim batch path; it must reproduce the per-seed loop exactly.
+        # median_tail goes through fastsim.run_replications; it must
+        # reproduce the per-seed loop exactly.
         system = queueing_workload(n_queries=2000, utilization=0.3)
-        assert hasattr(system, "run_batch")
         pol = SingleR(1.0, 0.3)
         seeds = (101, 103, 107)
         batch_tail, batch_rate = median_tail(system, pol, 0.95, seeds)

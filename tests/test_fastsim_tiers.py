@@ -36,16 +36,22 @@ from repro.fastsim import (
     ReplicationSpec,
     kernel_info,
     resolve_tier,
+    run_replications,
     simulate_batch,
     simulate_replication_tiered,
     tier_counts,
 )
 from repro.fastsim._compiled import HAVE_NUMBA
-from repro.obs import get_metrics, tracing
+from repro.obs import get_metrics, metrics_scope, tracing
 from repro.scenarios import Session
 from repro.simulation.arrivals import PoissonArrivals
 from repro.simulation.engine import ClusterConfig, simulate_cluster_reference
-from repro.simulation.workloads import ServiceModel
+from repro.simulation.workloads import (
+    ServiceModel,
+    independent_workload,
+    queueing_workload,
+)
+from repro.systems import RedisClusterSystem
 
 
 def make_config(**over):
@@ -210,6 +216,36 @@ class TestVisibility:
                 s for s in tracer.spans if s.name == "fastsim.batch"
             ][0].attrs
             assert attrs["kernel_tiers"] == {"numpy": 1, "reference": 1}
+
+    @pytest.mark.parametrize(
+        "build, tiers",
+        [
+            (lambda: queueing_workload(n_queries=600), {"numpy": 2}),
+            # RoundRobinConnectionQueue is unspecialized: reference only.
+            (
+                lambda: RedisClusterSystem(utilization=0.4, n_queries=600),
+                {"reference": 2},
+            ),
+            # Closed-form executor: never touches the kernel.
+            (lambda: independent_workload(n_queries=600), {}),
+        ],
+        ids=["queueing", "redis", "independent"],
+    )
+    def test_run_replications_one_batch_span(self, monkeypatch, build, tiers):
+        monkeypatch.setenv("REPRO_KERNEL", "numpy")
+        system = build()
+        with tracing() as tracer, metrics_scope() as registry:
+            before = tier_counts()
+            runs = run_replications(system, SingleR(0.5, 0.3), [1, 2])
+            after = tier_counts()
+            spans = [s for s in tracer.spans if s.name == "fastsim.batch"]
+            assert len(spans) == 1
+            attrs = spans[0].attrs
+            diff = {t: after[t] - before[t] for t in TIERS if after[t] > before[t]}
+            assert attrs["kernel_tiers"] == diff == tiers
+            assert attrs["n_replications"] == 2
+            assert attrs["queries"] == sum(r.n_queries for r in runs)
+            assert registry.counter("fastsim.replications").value == 2
 
     def test_scenario_summary_surfaces_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "numpy")

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -23,17 +24,24 @@ from repro.obs import (
     write_trace_artifacts,
 )
 from repro.obs.trace import absorb, remote_context, snapshot_context
-from repro.parallel.sweep import SweepPoint, run_sweep
+from repro.distributions.base import as_rng
+from repro.pipeline.executor import Job, run_jobs
 
 
-def traced_point(rng, scale=1.0):
-    """Module-level sweep function (picklable) that opens its own span."""
+def traced_job(seed, scale=1.0):
+    """Module-level job function (picklable) that opens its own span."""
     tracer = get_tracer()
     with tracer.span("worker.unit", scale=scale) as span:
         span.attrs["drawn"] = True
         if tracer.enabled:
             get_metrics().counter("worker.calls").inc()
-        return float(rng.normal(0, scale))
+        return float(as_rng(seed).normal(0, scale))
+
+
+def traced_jobs(n, scale):
+    return [
+        Job(f"p{i}", traced_job, {"seed": i, "scale": scale}) for i in range(n)
+    ]
 
 
 class TestNullTracer:
@@ -147,27 +155,30 @@ class TestPoolPropagation:
     def test_spans_cross_process_pool(self):
         import os
 
-        points = [SweepPoint(key=f"p{i}", params={"scale": 1.0}) for i in range(4)]
+        jobs = traced_jobs(4, 1.0)
         with tracing() as tracer, metrics_scope() as registry:
-            with tracer.span("sweep.root") as root:
-                res = run_sweep(traced_point, points, base_seed=3, n_workers=2)
-        assert all(r.ok for r in res)
+            with tracer.span("dispatch.root") as root:
+                with ProcessPoolExecutor(max_workers=2) as pool:
+                    run_jobs(jobs, pool)
         workers = [s for s in tracer.spans if s.name == "worker.unit"]
-        assert len(workers) == len(points)
+        assert len(workers) == len(jobs)
+        cells = [s for s in tracer.spans if s.name == "pipeline.cell"]
+        assert [s.attrs["key"] for s in cells] == [j.key for j in jobs]
         # Child spans crossed the pool: at least one came from another pid
         # and every one re-parented under the live trace.
         assert any(s.pid != os.getpid() for s in workers)
         ids = {s.span_id for s in tracer.spans}
         assert all(s.parent_id in ids for s in workers)
         assert all(s.trace_id == root.trace_id for s in workers)
-        assert registry.counter("worker.calls").value == len(points)
+        assert registry.counter("worker.calls").value == len(jobs)
 
     def test_pool_results_identical_with_and_without_tracing(self):
-        points = [SweepPoint(key=f"p{i}", params={"scale": 2.0}) for i in range(3)]
-        plain = run_sweep(traced_point, points, base_seed=9, n_workers=2)
-        with tracing():
-            traced = run_sweep(traced_point, points, base_seed=9, n_workers=2)
-        assert [r.value for r in plain] == [r.value for r in traced]
+        jobs = traced_jobs(3, 2.0)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            plain = run_jobs(jobs, pool)
+            with tracing():
+                traced = run_jobs(jobs, pool)
+        assert plain == traced == run_jobs(jobs)
 
 
 class TestMetrics:

@@ -16,12 +16,11 @@ from repro.core.optimizer import (
 from repro.core.policies import NoReissue, SingleD, SingleR
 from repro.distributions import Pareto
 from repro.distributions.base import as_rng
-from repro.fastsim import run_policy_batch
+from repro.fastsim import ReplicationSpec, simulate_batch
 from repro.main import main
 from repro.optimize import (
     FitRequest,
     SOLVERS,
-    fit_singler_grid,
     fit_singler_protocol,
     solve,
     solver_names,
@@ -213,7 +212,7 @@ class TestSimulatedSolver:
         assert isinstance(result.policy, SingleD)
 
     def test_grid_bit_for_bit_with_serial_fits(self):
-        """The batched lockstep grid == one serial fit per budget."""
+        """A budget grid == one standalone serial fit per budget."""
         self.assert_grid_matches_serial(use_correlation=True)
 
     def test_grid_bit_for_bit_with_serial_fits_uncorrelated(self):
@@ -244,43 +243,45 @@ class TestSimulatedSolver:
 
     def test_grid_rejects_stateful_seeds(self):
         system = quick_system(n_queries=1000)
-        with pytest.raises(ValueError, match="stateless seed"):
-            fit_singler_grid(
-                system, 0.95, [0.05], trials=1,
-                seed=np.random.default_rng(0),
-            )
-        with pytest.raises(ValueError, match="stateless seed"):
-            fit_singler_grid(system, 0.95, [0.05], trials=1, seed=None)
+        for seed in (np.random.default_rng(0), None):
+            with pytest.raises(ValueError, match="stateless seed"):
+                solve(
+                    FitRequest(
+                        percentile=0.95, budget=0.05, system=system,
+                        seed=seed, trials=1, budgets=(0.05,),
+                    ),
+                    "simulated",
+                )
 
     def test_grid_helper_matches_serial_on_batchless_system(self):
         system = build_system("independent", n_queries=2000)
-        budgets = [0.05, 0.2]
-        grid = fit_singler_grid(system, 0.95, budgets, trials=2, seed=11)
+        budgets = (0.05, 0.2)
+        result = solve(
+            FitRequest(
+                percentile=0.95, budget=0.05, system=system,
+                seed=11, trials=2, budgets=budgets,
+            ),
+            "simulated",
+        )
         serial = [
             fit_singler_protocol(system, 0.95, b, trials=2, rng=as_rng(11))
             for b in budgets
         ]
-        assert grid == serial
+        assert list(result.policies) == serial
 
 
-class TestRunPolicyBatch:
+class TestBatchConfig:
     def test_batch_config_route_is_bit_for_bit(self):
         system = quick_system()
         assert system.batch_config is system.config
         policies = [NoReissue(), SingleR(5.0, 0.5)]
-        batch = run_policy_batch(
-            system, [(p, as_rng(9)) for p in policies]
+        batch = simulate_batch(
+            ReplicationSpec(system.batch_config, p, seed=9) for p in policies
         )
         serial = [system.run(p, as_rng(9)) for p in policies]
         for b, s in zip(batch, serial):
             np.testing.assert_array_equal(b.latencies, s.latencies)
             assert b.reissue_rate == s.reissue_rate
-
-    def test_fallback_route_for_plain_systems(self):
-        system = build_system("independent", n_queries=1000)
-        batch = run_policy_batch(system, [(NoReissue(), as_rng(1))])
-        serial = system.run(NoReissue(), as_rng(1))
-        np.testing.assert_array_equal(batch[0].latencies, serial.latencies)
 
 
 class TestOnlineSolver:

@@ -1,14 +1,14 @@
 """Unit tests for repro.pipeline: fingerprints, specs, plans, execution."""
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.core.interfaces import supports_batch
 from repro.core.policies import NoReissue, SingleR
 from repro.distributions.base import as_rng
 from repro.experiments.common import Scale
 from repro.fastsim import run_replications
-from repro.parallel.sweep import Job, run_jobs
 from repro.pipeline import (
     ResultCache,
     SpecBuilder,
@@ -18,6 +18,7 @@ from repro.pipeline import (
     run_pipeline,
 )
 from repro.pipeline.cells import evaluate_replication
+from repro.pipeline.executor import Job, run_jobs
 from repro.pipeline.spec import Ref, SystemRef, system_ref
 from repro.simulation.workloads import independent_workload, queueing_workload
 
@@ -251,17 +252,13 @@ class TestExecutor:
         assert report.n_batches == 1
         assert report.n_batched_cells == 3
 
-    def test_failure_names_cell(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cell_raises_its_own_error(self, workers):
         sb = SpecBuilder("t", "t")
         sb.cell("kaboom", boom_cell)
-        plan = compile_plan(sb.build(lambda rs: None))
+        sb.cell("fine", noisy_cell, seed=1)
         with pytest.raises(ValueError, match="boom"):
-            execute_plan(plan)
-        with pytest.raises(RuntimeError, match="kaboom"):
-            sb2 = SpecBuilder("t", "t")
-            sb2.cell("kaboom", boom_cell)
-            sb2.cell("fine", noisy_cell, seed=1)
-            execute_plan(compile_plan(sb2.build(lambda rs: None)), workers=2)
+            execute_plan(compile_plan(sb.build(lambda rs: None)), workers=workers)
 
 
 class TestEvaluationProtocol:
@@ -278,33 +275,25 @@ class TestEvaluationProtocol:
 
     def test_run_replications_batch_equals_loop(self):
         system = queueing_workload(n_queries=1200, utilization=0.3)
-        assert supports_batch(system)
         pol = SingleR(1.0, 0.3)
         batch = run_replications(system, pol, (3, 4))
         loop = [system.run(pol, as_rng(s)) for s in (3, 4)]
         for b, l in zip(batch, loop):
             assert np.array_equal(b.latencies, l.latencies)
 
-    def test_infinite_server_has_no_batch(self):
-        assert not supports_batch(independent_workload(100))
-
 
 class TestRunJobs:
     def test_order_and_errors(self):
-        jobs = [
-            Job("a", noisy_cell, {"seed": 1}),
-            Job("b", boom_cell),
-            Job("c", noisy_cell, {"seed": 2}),
-        ]
-        out = run_jobs(jobs, n_workers=2)
-        assert [r.key for r in out] == ["a", "b", "c"]
-        assert out[0].ok and out[2].ok and not out[1].ok
-        assert "boom" in out[1].error
-        assert out[0].value == noisy_cell(1)
-
-    def test_lambda_rejected(self):
-        with pytest.raises(TypeError, match="module-level"):
-            run_jobs([Job("a", lambda: 0)])
+        jobs = [Job(f"j{s}", noisy_cell, {"seed": s}) for s in range(11)]
+        inline = run_jobs(jobs)
+        assert inline == [noisy_cell(s) for s in range(11)]
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            # 11 jobs on 2 workers: chunks of ceil(11 / 8) = 2 jobs.
+            assert run_jobs(jobs, pool) == inline
+            with pytest.raises(ValueError, match="boom") as info:
+                run_jobs([jobs[0], Job("b", boom_cell), jobs[1]], pool)
+        # The worker's traceback rides along as the cause.
+        assert info.value.__cause__ is not None
 
 
 class TestRunExperimentKwargs:

@@ -49,6 +49,16 @@ class TestPack:
         assert not (tmp_path / "trace.store.unsorted").exists()
         EmpiricalStore(reader)  # opens without StoreNotSortedError
 
+    @pytest.mark.parametrize("extra", [[], ["--sort"]], ids=["plain", "sort"])
+    def test_pack_bad_csv_leaves_no_store(self, tmp_path, capsys, extra):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("# repro-trace v1\nkind,x,y\nprimary,1.0,\nprimary,nan,\n")
+        store = tmp_path / "out.store"
+        rc = main(["store", "pack", str(bad), str(store), *extra])
+        assert rc == 2
+        assert "nan" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
     def test_pack_missing_csv_is_exit_2(self, tmp_path, capsys):
         rc = main(
             ["store", "pack", str(tmp_path / "no.csv"), str(tmp_path / "x")]

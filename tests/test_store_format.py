@@ -290,6 +290,35 @@ class TestAppendMode:
         assert reader.verify() == 3
 
 
+class TestFailedWriter:
+    def test_failed_new_store_is_removed(self, tmp_path, rng):
+        path = tmp_path / "t.store"
+        with pytest.raises(ValueError, match="width"):
+            with TraceWriter(path, block_records=4) as writer:
+                writer.append(rng.exponential(5.0, 10))
+                writer.append(np.ones((2, 3)))
+        assert not path.exists()
+        assert not os.path.exists(sidecar_path(path))
+
+    @pytest.mark.parametrize("first", [0, 5], ids=["direct", "after-flush"])
+    def test_failed_append_restores_store(self, tmp_path, rng, first):
+        # 10 records at block size 4: the append re-buffers (and cuts)
+        # the 2-record tail block; with ``first`` = 5 it also flushes a
+        # new block before the bad append fails.
+        samples = rng.exponential(5.0, 10)
+        path = write_store(tmp_path / "t.store", samples, block_records=4)
+        data, side = path.read_bytes(), open(sidecar_path(path)).read()
+        with pytest.raises(ValueError, match="width"):
+            with TraceWriter(path, mode="a") as writer:
+                writer.append(np.ones(first))
+                writer.append(np.ones((2, 3)))
+        assert path.read_bytes() == data
+        assert open(sidecar_path(path)).read() == side
+        reader = TraceReader(path)
+        np.testing.assert_array_equal(reader.read_segment("primary"), samples)
+        assert reader.verify() == 3
+
+
 class TestObsCounters:
     def test_write_and_read_counters_advance(self, tmp_path, rng):
         wrote = _counter_value("store.blocks_written")
