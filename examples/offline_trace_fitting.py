@@ -19,9 +19,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import SingleR, compute_optimal_singler
-from repro.core.correlated import compute_optimal_singler_correlated
+from repro import SingleR
 from repro.io import TraceLog, read_trace, write_trace
+from repro.optimize import FitRequest, solve
 from repro.systems import RedisClusterSystem
 
 PERCENTILE = 0.99
@@ -45,10 +45,16 @@ def main() -> None:
     # 2 — reload (this is all a policy-fitting service needs).
     trace = read_trace(path)
 
-    # 3a — independence-assuming fit (Figure 1).
-    naive = compute_optimal_singler(
-        trace.primary, trace.reissue_log(), PERCENTILE, BUDGET
-    )
+    # 3a — independence-assuming fit (the Figure 1 sweep).
+    naive = solve(
+        FitRequest(
+            percentile=PERCENTILE,
+            budget=BUDGET,
+            rx=trace.primary,
+            ry=trace.reissue_log(),
+        ),
+        "empirical",
+    ).fit
     print(
         f"\nindependence fit : d={naive.delay:8.1f} q={naive.prob:.2f} "
         f"predicted P99={naive.predicted_tail:.0f} "
@@ -57,9 +63,16 @@ def main() -> None:
 
     # 3b — correlation-aware fit (§4.2): conditions the reissue CDF on the
     # primary having missed the deadline.
-    aware = compute_optimal_singler_correlated(
-        trace.primary, trace.pair_x, trace.pair_y, PERCENTILE, BUDGET
-    )
+    aware = solve(
+        FitRequest(
+            percentile=PERCENTILE,
+            budget=BUDGET,
+            rx=trace.primary,
+            pair_x=trace.pair_x,
+            pair_y=trace.pair_y,
+        ),
+        "correlated",
+    ).fit
     print(
         f"correlation fit  : d={aware.delay:8.1f} q={aware.prob:.2f} "
         f"predicted P99={aware.predicted_tail:.0f}"

@@ -7,22 +7,21 @@ driven by the declarative Scenario API (``repro.scenarios``):
 1. describe the workload once as a Scenario and collect a response-time
    log from a baseline (no-reissue) run;
 2. fit the optimal SingleR(d, q) policy for a target percentile and
-   reissue budget with ``compute_optimal_singler`` (Figure 1 of the
-   paper);
+   reissue budget with ``repro.optimize.solve`` (the Figure 1 sweep of
+   the paper);
 3. drop the fitted policy into the same Scenario and measure the
    achieved tail latency;
 4. compare against the "Tail at Scale" SingleD baseline with the same
    budget.
 
-The same Scenario objects run unchanged on any engine —
-``reference``, ``fastsim``, ``pipeline``, or ``serving`` — and from the
-CLI via ``repro run``.
+The same Scenario objects run unchanged on either engine — ``sim`` or
+``live`` — and from the CLI via ``repro run``.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import compute_optimal_singler
 from repro.core.optimizer import fit_singled_policy
+from repro.optimize import FitRequest, solve
 from repro.scenarios import Session, scenario
 
 PERCENTILE = 0.99  # minimize the P99
@@ -47,7 +46,7 @@ def workload_scenario(name: str, policy) -> "scenario":
 
 
 def main() -> None:
-    session = Session(engine="fastsim")
+    session = Session(engine="sim")
 
     # Step 1 — measure the baseline.
     baseline = session.run(workload_scenario("quickstart-baseline", "none"))
@@ -56,7 +55,8 @@ def main() -> None:
     print(f"baseline P99                     : {p99_baseline:8.1f}")
 
     # Step 2 — fit the optimal SingleR policy from the log.
-    fit = compute_optimal_singler(log, log, PERCENTILE, BUDGET)
+    request = FitRequest(percentile=PERCENTILE, budget=BUDGET, rx=log)
+    fit = solve(request, "empirical").fit
     policy = fit.policy
     print(
         f"fitted SingleR                   : reissue after d={policy.delay:.1f} "

@@ -11,7 +11,7 @@ This example drives the full production workflow through the declarative
 Scenario API:
 
 1. describe the cluster once as a Scenario and capture its baseline
-   anatomy (fastsim engine: bit-for-bit the reference simulation);
+   anatomy (sim engine: bit-for-bit the reference simulation);
 2. tune a SingleR policy with the adaptive optimizer (§4.3) against the
    scenario's system, which accounts for the load reissues themselves
    add;
@@ -20,7 +20,7 @@ Scenario API:
 4. peek inside: which reissues actually remediated the tail?
 
 A pinned variant of this scenario ships with the package — run it from
-the CLI with ``repro run redis-tail-taming --engine fastsim``.
+the CLI with ``repro run redis-tail-taming``.
 
 Run:  python examples/redis_tail_taming.py        (~1 minute)
 """
@@ -48,7 +48,7 @@ def redis_scenario(name: str, policy) -> "scenario":
 
 
 def main() -> None:
-    session = Session(engine="fastsim")
+    session = Session(engine="sim")
     baseline_scenario = redis_scenario("redis-baseline", "none")
 
     # 1 — baseline anatomy.

@@ -12,10 +12,11 @@ Public API highlights:
   pipeline (spec → plan → execute → cache).
 * :mod:`repro.experiments` — declarative specs + render functions
   regenerating every paper figure (``repro figure``).
+* :mod:`repro.optimize` — one policy-fitting API: ``solve(FitRequest(...))``.
 * :mod:`repro.scenarios` — the declarative Scenario API: one workload +
-  system + policy + objective + scale description, executed on any
-  engine (reference / fastsim / pipeline / serving) through the
-  ``Session`` facade and the unified ``repro`` CLI (``repro run``).
+  system + policy + objective + scale description, executed on the
+  ``sim`` or ``live`` engine through the ``Session`` facade and the
+  unified ``repro`` CLI (``repro run``).
 """
 
 from .core import (
@@ -29,8 +30,6 @@ from .core import (
     SingleD,
     SingleR,
     SingleRFit,
-    compute_optimal_singled,
-    compute_optimal_singler,
     compute_optimal_singler_correlated,
     find_optimal_budget,
     min_budget_for_sla,
@@ -57,8 +56,6 @@ __all__ = [
     "DoubleR",
     "MultipleR",
     "SingleRFit",
-    "compute_optimal_singler",
-    "compute_optimal_singled",
     "compute_optimal_singler_correlated",
     "AdaptiveSingleROptimizer",
     "OnlinePolicyController",

@@ -1,21 +1,21 @@
 """``repro``: the unified command line for the whole reproduction.
 
-One front door for every layer the repo grew — offline simulation,
-vectorized fastsim, the cached experiment pipeline, and the live serving
-runtime — driven by the declarative Scenario API:
+One front door for every layer the repo grew — the simulator behind the
+cached experiment pipeline, and the live serving runtime — driven by
+the declarative Scenario API:
 
 ::
 
     repro scenarios list                 # bundled scenarios + registries
     repro scenarios validate             # check every bundled .toml
     repro scenarios validate my.toml     # ... or your own files
-    repro run queueing-tail-quick        # run a scenario (reference engine)
-    repro run my.toml --engine fastsim --seeds 101,103
-    repro run redis-tail-taming --engine pipeline --workers 4 --cache .c
-    repro run queueing-tail-quick --engine serving --requests 500
+    repro run queueing-tail-quick        # run a scenario (sim engine)
+    repro run my.toml --seeds 101,103
+    repro run redis-tail-taming --workers 4 --cache .c
+    repro run queueing-tail-quick --engine live --requests 500
     repro optimize queueing-fit-singler  # solve the objective for a policy
     repro optimize my.toml --solver simulated --trials 8
-    repro trace queueing-tail-quick --engine fastsim   # traced run + artifacts
+    repro trace queueing-tail-quick      # traced run + artifacts
     repro store pack trace.csv trace.store --sort   # out-of-core trace store
     repro store info trace.store
     repro figure list                    # paper figures
@@ -50,6 +50,10 @@ from .store.cli import (
 )
 
 
+#: The scenario engines (see repro.scenarios.engines).
+_ENGINES = ("sim", "live")
+
+
 def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(s) for s in text.replace(",", " ").split())
@@ -62,9 +66,16 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
 # -- repro run ---------------------------------------------------------------
 
 
-def configure_run_parser(parser: argparse.ArgumentParser) -> None:
-    from .scenarios import engine_names
+#: The engine flags of ``run``/``trace``, by the Session option each sets.
+_ENGINE_FLAGS = {
+    "workers": "--workers",
+    "cache_dir": "--cache",
+    "requests": "--requests",
+    "time_scale": "--time-scale",
+}
 
+
+def configure_run_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "scenario",
         help="a bundled scenario name (see 'repro scenarios list') or a "
@@ -72,9 +83,10 @@ def configure_run_parser(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        default="reference",
-        choices=engine_names(),
-        help="execution engine (default: reference)",
+        default="sim",
+        choices=_ENGINES,
+        help="sim: the simulator, one cached/parallel pipeline cell per "
+        "seed (default); live: a live asyncio hedging client",
     )
     parser.add_argument(
         "--seeds",
@@ -87,129 +99,77 @@ def configure_run_parser(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=None,
-        help="process-pool width (pipeline engine)",
+        help="process-pool width (sim engine)",
     )
     parser.add_argument(
         "--cache",
+        dest="cache_dir",
         type=Path,
         default=None,
         metavar="DIR",
-        help="content-addressed result cache (pipeline engine)",
+        help="content-addressed result cache (sim engine)",
     )
     parser.add_argument(
         "--requests",
         type=int,
         default=None,
-        help="requests per seed (serving engine; default: scale.n_queries)",
+        help="requests per seed (live engine; default: scale.n_queries)",
     )
     parser.add_argument(
         "--time-scale",
         type=float,
         default=None,
-        help="wall seconds per model ms (serving engine, default 1e-5)",
+        help="wall seconds per model ms (live engine, default 1e-5)",
     )
     parser.add_argument(
         "--json",
         action="store_true",
         help="print the report summary as JSON instead of the table",
     )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="run under repro.obs tracing and print the span summary "
-        "and metric registry after the report",
-    )
 
 
-def _engine_options_from_args(args) -> dict | None:
-    """Shared run/trace flag validation → serving engine options.
+def _run_scenario(args):
+    """The report of ``args.scenario`` on ``args.engine``, or None after
+    printing the error.
 
-    Returns None (after printing the error) when a flag does not apply
-    to the chosen engine or is out of range.
+    Only the engine flags that were given are forwarded; the engine
+    refuses an option it does not take or a bad value, and the error
+    names the flag.
     """
-    mismatched = []
-    if args.engine != "pipeline":
-        if args.workers is not None:
-            mismatched.append("--workers")
-        if args.cache is not None:
-            mismatched.append("--cache")
-    if args.engine != "serving":
-        if args.requests is not None:
-            mismatched.append("--requests")
-        if args.time_scale is not None:
-            mismatched.append("--time-scale")
-    if mismatched:
-        print(
-            f"error: {', '.join(mismatched)} does not apply to the "
-            f"{args.engine!r} engine",
-            file=sys.stderr,
-        )
-        return None
-    if args.requests is not None and args.requests < 1:
-        print(
-            f"error: --requests must be >= 1, got {args.requests}",
-            file=sys.stderr,
-        )
-        return None
-    engine_options = {}
-    if args.engine == "serving":
-        engine_options["time_scale"] = (
-            1e-5 if args.time_scale is None else args.time_scale
-        )
-        if args.requests is not None:
-            engine_options["requests"] = args.requests
-    return engine_options
-
-
-def run_run_command(args) -> int:
-    import contextlib
-
     from .scenarios import Session
 
-    # Refuse flags the chosen engine would silently ignore.
-    engine_options = _engine_options_from_args(args)
-    if engine_options is None:
-        return 2
-    session = Session(
-        args.engine,
-        workers=args.workers,
-        cache_dir=args.cache,
-        engine_options=engine_options,
-    )
-    t0 = time.perf_counter()
+    options = {
+        name: getattr(args, name)
+        for name in _ENGINE_FLAGS
+        if getattr(args, name) is not None
+    }
     try:
         # Session.run coerces and validates; its ValueError already lists
         # every problem the scenario has.
-        with contextlib.ExitStack() as stack:
-            tracer = registry = None
-            if args.trace:
-                from .obs import metrics_scope, tracing
-
-                tracer = stack.enter_context(tracing())
-                registry = stack.enter_context(metrics_scope())
-            report = session.run(args.scenario, seeds=args.seeds)
+        return Session(args.engine, **options).run(
+            args.scenario, seeds=args.seeds
+        )
     except (KeyError, TypeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # Engine option errors lead with the option's name.
+        option, _, rest = str(exc).partition(" ")
+        flag = _ENGINE_FLAGS.get(option) if rest else None
+        print(
+            f"error: {flag} {rest}" if flag else f"error: {exc}",
+            file=sys.stderr,
+        )
+        return None
+
+
+def run_run_command(args) -> int:
+    t0 = time.perf_counter()
+    report = _run_scenario(args)
+    if report is None:
         return 2
     elapsed = time.perf_counter() - t0
     if args.json:
-        summary = report.summary()
-        if tracer is not None:
-            summary["trace"] = {
-                "spans": len(tracer.spans),
-                "metrics": registry.as_dict(),
-            }
-        print(json.dumps(summary, indent=2, default=float))
+        print(json.dumps(report.summary(), indent=2, default=float))
     else:
         print(report.render())
-        if tracer is not None:
-            from .obs import summary_table
-
-            print()
-            print(summary_table(tracer.spans))
-            if len(registry):
-                print()
-                print(registry.render())
         print(f"[{report.scenario.name} on {args.engine} in {elapsed:.1f}s]")
     return 0
 
@@ -371,7 +331,6 @@ def run_scenarios_command(args) -> int:
         SYSTEMS,
         bundled_scenario_names,
         bundled_scenarios,
-        engine_names,
     )
 
     if args.scenarios_command == "list":
@@ -380,7 +339,7 @@ def run_scenarios_command(args) -> int:
             first = sc.description.split(". ")[0].rstrip(".")
             print(f"  {sc.name:<26} {first}")
         print()
-        print("engines:", "  ".join(engine_names()))
+        print("engines:", "  ".join(_ENGINES))
         for registry in (SYSTEMS, POLICIES, DISTRIBUTIONS):
             print()
             plural = "policies" if registry.kind == "policy" else f"{registry.kind}s"
@@ -445,23 +404,11 @@ def run_trace_command(args) -> int:
         tracing,
         write_trace_artifacts,
     )
-    from .scenarios import Session
 
-    engine_options = _engine_options_from_args(args)
-    if engine_options is None:
-        return 2
-    session = Session(
-        args.engine,
-        workers=args.workers,
-        cache_dir=args.cache,
-        engine_options=engine_options,
-    )
     t0 = time.perf_counter()
-    try:
-        with tracing() as tracer, metrics_scope() as registry:
-            report = session.run(args.scenario, seeds=args.seeds)
-    except (KeyError, TypeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    with tracing() as tracer, metrics_scope() as registry:
+        report = _run_scenario(args)
+    if report is None:
         return 2
     elapsed = time.perf_counter() - t0
     stem = args.stem or f"{report.scenario.name}-{args.engine}"
@@ -478,6 +425,7 @@ def run_trace_command(args) -> int:
                 {
                     "scenario": report.scenario.name,
                     "engine": args.engine,
+                    "summary": report.summary(),
                     "spans": len(tracer.spans),
                     "metrics": registry.as_dict(),
                     "artifacts": {k: str(p) for k, p in artifacts.items()},
@@ -521,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser(
-        "run", help="execute a declarative scenario on any engine"
+        "run", help="execute a declarative scenario on the sim or live engine"
     )
     configure_run_parser(run_p)
 

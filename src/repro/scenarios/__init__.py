@@ -1,15 +1,14 @@
-"""repro.scenarios — one declarative Scenario API with pluggable engines.
+"""repro.scenarios — one declarative Scenario API, two engines.
 
 The paper's core claim is that one reissue-policy abstraction spans
 analytic models, simulated clusters, and real deployments. This package
 is that claim as an API: a :class:`Scenario` (workload + system + policy
 + objective + scale) described once — in Python or TOML — executes on
-any registered engine and yields the same ``RunResult``-based report:
+either engine and yields the same ``RunResult``-based report:
 
-* ``reference`` — the §5 discrete-event simulation, unbatched;
-* ``fastsim``   — the same replications, traced per batch (bit-for-bit equal);
-* ``pipeline``  — cached / process-parallel execution;
-* ``serving``   — a live asyncio :class:`HedgedClient` run.
+* ``sim``  — the §5 simulation, one pipeline cell per seed (cached with
+  ``cache_dir``, process-parallel with ``workers``);
+* ``live`` — a live asyncio :class:`HedgedClient` run.
 
 Quick start::
 
@@ -26,7 +25,7 @@ Quick start::
         n_queries=4_000,
         seeds=(101, 103),
     )
-    report = Session(engine="fastsim").run(sc)
+    report = Session().run(sc)
     print(report.render())
 
 Bundled example scenarios live under ``bundled/`` and are addressable by
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .engines import ENGINES, ScenarioReport, engine_names, register_engine
+from .engines import ScenarioReport
 from .model import (
     DistributionSpec,
     Objective,
@@ -59,7 +58,7 @@ from .registry import (
     system_spec_ref,
 )
 from .serialize import dumps, load, loads, save
-from .session import Session, coerce_scenario, run_scenario
+from .session import Session, coerce_scenario
 
 #: Directory of the scenarios shipped with the package.
 BUNDLED_DIR = Path(__file__).resolve().parent / "bundled"
@@ -96,12 +95,8 @@ __all__ = [
     "Objective",
     "ScaleSpec",
     "Session",
-    "run_scenario",
     "coerce_scenario",
     "ScenarioReport",
-    "ENGINES",
-    "engine_names",
-    "register_engine",
     "SYSTEMS",
     "POLICIES",
     "DISTRIBUTIONS",

@@ -1,66 +1,40 @@
-"""Execution engines: one Scenario, four ways to run it.
+"""Execution engines: one Scenario, two ways to run it.
 
-Every engine has the same shape — ``(scenario, seeds, **options) ->
-list[RunResult]``, or ``(list[RunResult], extra_meta_dict)`` when the
-engine has execution metadata to surface (the pipeline engine's cache /
-worker report) — and the :class:`~repro.scenarios.session.Session`
-facade wraps whichever one is selected into the common
+Both take ``(scenario, seeds, **options)`` and return ``(runs, meta)``;
+:class:`~repro.scenarios.session.Session` wraps them into one
 :class:`ScenarioReport`.
 
-* ``reference`` — one ``system.run(policy, seed)`` per seed: the §5
-  discrete-event simulation (or closed-form infinite-server executor),
-  unbatched. The ground truth.
-* ``fastsim`` — the same replications through
-  :func:`repro.fastsim.run_replications` (the same seed loop, traced as
-  one ``fastsim.batch`` span and reporting the kernel tiers that ran).
-  Bit-for-bit equal to ``reference`` per seed
-  (``tests/test_scenarios_engines.py`` re-checks it per registered
-  system).
-* ``pipeline`` — each replication becomes a cell in an auto-generated
-  :class:`~repro.pipeline.spec.ExperimentSpec`, executed by the cached /
-  process-parallel pipeline executor. Same results; adds ``--workers``
-  scaling and content-addressed resume.
-* ``serving`` — bridges the scenario into a live
-  :class:`~repro.serving.hedge.HedgedClient` run against an async
-  backend approximating the system's workload (no queueing model, real
-  concurrency/timers/cancellation). Statistically comparable, not
-  bit-for-bit — it measures the policy on an event loop, not in a
-  simulator.
+* ``sim`` — one pipeline cell per seed: inline by default, on a process
+  pool with ``workers``, resumed from the result cache with
+  ``cache_dir``. Each run is bit-for-bit ``system.run(policy,
+  as_rng(seed))``, and the report names the kernel tiers that ran.
+* ``live`` — a live :class:`~repro.serving.hedge.HedgedClient` run
+  against an async backend approximating the system's workload (real
+  concurrency/timers/cancellation, no queueing model): statistically
+  comparable to ``sim``, not bit-for-bit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import SimpleNamespace
+from typing import Sequence
 
 import numpy as np
 
 from ..core.interfaces import RunResult
 from ..distributions import Pareto
-from ..distributions.base import as_rng
 from .model import Scenario
 from .registry import SYSTEMS
 
-#: Engine name → callable(scenario, seeds, **options) returning either
-#: list[RunResult] or (list[RunResult], extra_meta_dict).
-ENGINES: dict[str, Callable] = {}
-
-
-def register_engine(name: str):
-    def deco(fn):
-        ENGINES[name] = fn
-        return fn
-
-    return deco
-
-
-def engine_names() -> list[str]:
-    return sorted(ENGINES)
-
-
-# ---------------------------------------------------------------------------
-# The report every engine's output is wrapped into.
-# ---------------------------------------------------------------------------
+#: The live engine's fixed client settings, which no caller varies:
+#: 64 requests in flight, closed-loop arrivals (0 ms apart), 2% of
+#: requests sent as correlation probes, and no deadline.
+LIVE_CONCURRENCY = 64
+LIVE_INTERARRIVAL_MS = 0.0
+LIVE_PROBE_FRACTION = 0.02
+LIVE_DEADLINE_MS = None
 
 
 @dataclass
@@ -91,9 +65,7 @@ class ScenarioReport:
     def sla_met(self) -> bool | None:
         """Whether the median tail meets the objective's SLA (None: no SLA)."""
         sla = self.scenario.objective.sla_ms
-        if sla is None:
-            return None
-        return self.median_tail <= sla
+        return None if sla is None else self.median_tail <= sla
 
     #: Acceptance slack on the declared budget: the measured reissue rate
     #: may exceed it by up to 50% before a run is flagged as over budget —
@@ -108,7 +80,7 @@ class ScenarioReport:
         budget = self.scenario.objective.budget
         if budget is None:
             return None
-        return bool(self.median_reissue_rate <= self.BUDGET_TOLERANCE * budget)
+        return self.median_reissue_rate <= self.BUDGET_TOLERANCE * budget
 
     def summary(self) -> dict:
         obj = self.scenario.objective
@@ -128,20 +100,15 @@ class ScenarioReport:
         if obj.sla_ms is not None:
             out["sla_ms"] = obj.sla_ms
             out["sla_met"] = self.sla_met
-        if self.meta.get("pipeline"):
+        if "pipeline" in self.meta:
             pipe = self.meta["pipeline"]
-            out["pipeline"] = {
-                "cache_hits": pipe.get("cache_hits", 0),
-                "cache_misses": pipe.get("cache_misses", 0),
-                "cache_writes": pipe.get("cache_writes", 0),
-                "per_wave": pipe.get("per_wave", []),
-            }
-        if self.meta.get("fastsim"):
-            out["fastsim"] = dict(self.meta["fastsim"])
-        if self.meta.get("store"):
-            # Out-of-core trace-store activity during this run: block
-            # reads/writes and cache hits (deltas, counted by Session).
-            out["store"] = dict(self.meta["store"])
+            keys = ("cache_hits", "cache_misses", "cache_writes", "per_wave")
+            out["pipeline"] = {key: pipe[key] for key in keys}
+        # The kernel tiers that ran (sim), and out-of-core trace-store
+        # activity during the run (deltas counted by Session).
+        for section in ("fastsim", "store"):
+            if section in self.meta:
+                out[section] = dict(self.meta[section])
         return out
 
     def render(self) -> str:
@@ -158,37 +125,24 @@ class ScenarioReport:
         ]
         if obj.sla_ms is not None:
             verdict = "MET" if self.sla_met else "MISSED"
-            lines.append(
-                f"  SLA {obj.sla_ms:g} ms           {verdict:>10s}"
-            )
+            lines.append(f"  SLA {obj.sla_ms:g} ms           {verdict:>10s}")
         fastsim = self.meta.get("fastsim")
-        if fastsim and fastsim.get("kernel_tier"):
-            tiers = fastsim.get("kernel_tiers", {})
+        if fastsim and fastsim["kernel_tier"]:
             breakdown = ", ".join(
-                f"{name} x{count}" for name, count in sorted(tiers.items())
+                f"{name} x{count}"
+                for name, count in sorted(fastsim["kernel_tiers"].items())
             )
             lines.append(
                 f"  kernel tier          {fastsim['kernel_tier']:>10s}"
                 f"  ({breakdown})"
             )
         pipe = self.meta.get("pipeline")
-        if pipe:
-            # The executor's cache story, previously swallowed: where
-            # each wave's cells came from (cache vs fresh vs deduped).
+        if pipe and (pipe["cache_hits"] or pipe["cache_misses"]):
+            # Where the cells came from, when a result cache ran.
             lines.append(
-                f"  pipeline cache       "
-                f"hits {pipe.get('cache_hits', 0)}  "
-                f"misses {pipe.get('cache_misses', 0)}  "
-                f"writes {pipe.get('cache_writes', 0)}"
+                f"  pipeline cache       hits {pipe['cache_hits']}  "
+                f"misses {pipe['cache_misses']}  writes {pipe['cache_writes']}"
             )
-            for w in pipe.get("per_wave", []):
-                lines.append(
-                    f"    wave {w['wave']:<3d}"
-                    f"cells {w['cells']:<5d}"
-                    f"hits {w['cache_hits']:<5d}"
-                    f"misses {w['cache_misses']:<5d}"
-                    f"deduped {w['deduped_cells']}"
-                )
         store = self.meta.get("store")
         if store:
             lines.append(
@@ -200,109 +154,41 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _tag(runs: list[RunResult], scenario: Scenario, engine: str):
-    for run in runs:
-        run.meta.setdefault("scenario", scenario.name)
-        run.meta.setdefault("engine", engine)
-    return runs
+def scenario_replication_cell(system, policy, seed: int) -> RunResult:
+    """Pipeline cell: one (system ref, policy, seed) replication.
 
-
-# ---------------------------------------------------------------------------
-# reference / fastsim
-# ---------------------------------------------------------------------------
-
-
-@register_engine("reference")
-def run_reference(
-    scenario: Scenario, seeds: Sequence[int], **options
-) -> list[RunResult]:
-    """One unbatched ``system.run`` per seed — the ground truth."""
-    _reject_options("reference", options)
-    system = scenario.build_system()
-    policy = scenario.build_policy()
-    return [system.run(policy, as_rng(int(s))) for s in seeds]
-
-
-@register_engine("fastsim")
-def run_fastsim(
-    scenario: Scenario, seeds: Sequence[int], **options
-) -> tuple[list[RunResult], dict]:
-    """Seed-paired replications through :func:`repro.fastsim.run_replications`.
-
-    Besides the runs, reports which kernel tiers actually executed
-    (``meta["fastsim"]``, surfaced in ``ScenarioReport.summary()``), so
-    a structural fallback — numba missing, an unspecialized queue
-    discipline — is visible instead of just slow.
+    Module-level (fingerprintable, picklable) and routed through
+    :func:`repro.fastsim.run_replications`. The kernel tiers it ran go
+    into ``meta["kernel_tiers"]``, so they survive a pool worker and a
+    cache replay.
     """
-    _reject_options("fastsim", options)
     from ..fastsim import run_replications, tier_counts
 
     before = tier_counts()
-    runs = run_replications(
-        scenario.build_system(),
-        scenario.build_policy(),
-        [int(s) for s in seeds],
-    )
-    executed = {
-        name: count - before.get(name, 0)
+    (run,) = run_replications(system.build(), policy, [int(seed)])
+    run.meta["kernel_tiers"] = {
+        name: count - before[name]
         for name, count in tier_counts().items()
-        if count - before.get(name, 0) > 0
+        if count > before[name]
     }
-    meta = {
-        "fastsim": {
-            "kernel_tiers": executed,
-            # Dominant tier, or None when no replication touched the
-            # simulation kernel (e.g. closed-form executors).
-            "kernel_tier": (
-                max(executed, key=executed.get) if executed else None
-            ),
-        }
-    }
-    return runs, meta
+    return run
 
 
-def _reject_options(engine: str, options: dict) -> None:
-    if options:
-        raise TypeError(
-            f"engine {engine!r} takes no options, got {sorted(options)}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# pipeline
-# ---------------------------------------------------------------------------
-
-
-def scenario_replication_cell(system, policy, seed: int) -> RunResult:
-    """Pipeline cell: one full (system, policy, seed) replication.
-
-    Module-level (fingerprintable, picklable) and routed through
-    :func:`repro.fastsim.run_replications`, so a pipeline-engine
-    replication is the same bits as a fastsim-engine one.
-    """
-    from ..fastsim import run_replications
-    from ..pipeline.spec import SystemRef
-
-    built = system.build() if isinstance(system, SystemRef) else system
-    return run_replications(built, policy, [int(seed)])[0]
-
-
-@register_engine("pipeline")
-def run_pipeline_engine(
+def run_sim(
     scenario: Scenario,
     seeds: Sequence[int],
+    *,
     workers: int | None = None,
     cache_dir=None,
-    **options,
 ) -> tuple[list[RunResult], dict]:
     """Replications as cells of an auto-generated ExperimentSpec.
 
     ``workers`` spreads seeds over a process pool; ``cache_dir`` makes
     re-runs (and scale upgrades sharing seeds) resume from the
-    content-addressed cache. Results are bit-for-bit the fastsim
-    engine's either way.
+    content-addressed cache; the runs are the same bits either way.
+    ``meta["fastsim"]`` sums the cells' kernel tiers, so a structural
+    fallback (an unspecialized queue discipline) shows, not just slows.
     """
-    _reject_options("pipeline", options)
     from ..pipeline import SpecBuilder, run_pipeline
 
     sb = SpecBuilder(
@@ -313,43 +199,36 @@ def run_pipeline_engine(
     policy = scenario.build_policy()
     handles = [
         sb.cell(
-            f"run/s{int(seed)}",
+            f"run/s{seed}",
             scenario_replication_cell,
-            kind="fit",
             system=system,
             policy=policy,
-            seed=int(seed),
+            seed=seed,
         )
         for seed in seeds
     ]
-
-    holder = run_pipeline(
-        sb.build(lambda rs: _RunsHolder([rs[h] for h in handles])),
-        workers=workers,
-        cache_dir=cache_dir,
-    )
-    return holder.runs, {"pipeline": holder.meta.get("pipeline", {})}
-
-
-class _RunsHolder:
-    """run_pipeline attaches its ExecutionReport to ``.meta`` when the
-    rendered object has a dict there — give it one."""
-
-    def __init__(self, runs):
-        self.runs = runs
-        self.meta: dict = {}
-
-
-# ---------------------------------------------------------------------------
-# serving
-# ---------------------------------------------------------------------------
+    # run_pipeline hangs its execution report on the rendered meta dict.
+    render = lambda rs: SimpleNamespace(runs=[rs[h] for h in handles], meta={})
+    out = run_pipeline(sb.build(render), workers=workers, cache_dir=cache_dir)
+    tiers: Counter = Counter()
+    for run in out.runs:
+        tiers.update(run.meta["kernel_tiers"])
+    return out.runs, {
+        "pipeline": out.meta["pipeline"],
+        "fastsim": {
+            "kernel_tiers": dict(tiers),
+            # Dominant tier, or None when no replication touched the
+            # simulation kernel (e.g. closed-form executors).
+            "kernel_tier": max(tiers, key=tiers.get) if tiers else None,
+        },
+    }
 
 
 def serving_backend(scenario: Scenario, time_scale: float, rng):
     """An async backend approximating the scenario's workload.
 
     Public because the fleet load generator (``repro loadgen``) builds
-    one per shard from the same scenario the serving engine uses.
+    one per shard from the same scenario the live engine uses.
     """
     kind = SYSTEMS.get(scenario.system.kind).metadata.get(
         "serving_backend", "synthetic"
@@ -372,35 +251,29 @@ def serving_backend(scenario: Scenario, time_scale: float, rng):
     return SyntheticBackend(base, time_scale=time_scale, rng=rng)
 
 
-@register_engine("serving")
-def run_serving(
+def run_live(
     scenario: Scenario,
     seeds: Sequence[int],
+    *,
     requests: int | None = None,
     time_scale: float = 1e-5,
-    concurrency: int = 64,
-    interarrival_ms: float = 0.0,
-    probe_fraction: float = 0.02,
-    deadline_ms: float | None = None,
-    **options,
-) -> list[RunResult]:
-    """Bridge the scenario into a live :class:`HedgedClient` run.
+) -> tuple[list[RunResult], dict]:
+    """One live :class:`HedgedClient` pass of ``requests`` requests
+    (default: the scenario's ``n_queries``, else 2 000) per seed.
 
-    One serving pass per seed (seed-paired like the simulators: the seed
-    spawns independent backend and client streams). The backend
-    approximates the system's service-time workload; queueing effects
-    are not modeled live, so treat results as statistically comparable
-    to the simulators rather than bit-for-bit.
+    Seed-paired like ``sim``: each seed spawns independent backend and
+    client streams. ``time_scale`` is wall seconds per model ms.
     """
-    _reject_options("serving", options)
     import asyncio
 
     from ..serving.hedge import HedgedClient
 
-    policy = scenario.build_policy()
     n_requests = (
         requests if requests is not None else scenario.scale.n_queries or 2_000
     )
+    if n_requests < 1:
+        raise ValueError(f"requests must be >= 1, got {n_requests}")
+    policy = scenario.build_policy()
     runs: list[RunResult] = []
     for seed in seeds:
         backend_seq, client_seq = np.random.SeedSequence(int(seed)).spawn(2)
@@ -410,20 +283,16 @@ def run_serving(
         client = HedgedClient(
             backend,
             policy,
-            concurrency=concurrency,
-            deadline_ms=deadline_ms,
-            probe_fraction=probe_fraction,
+            concurrency=LIVE_CONCURRENCY,
+            deadline_ms=LIVE_DEADLINE_MS,
+            probe_fraction=LIVE_PROBE_FRACTION,
             rng=np.random.default_rng(client_seq),
         )
         outcomes = asyncio.run(
-            client.serve(
-                n_requests,
-                interarrival_ms=interarrival_ms,
-                poisson=interarrival_ms > 0.0,
-            )
+            client.serve(n_requests, interarrival_ms=LIVE_INTERARRIVAL_MS)
         )
         runs.append(_outcomes_to_run_result(outcomes, backend))
-    return runs
+    return runs, {}
 
 
 def _outcomes_to_run_result(outcomes, backend) -> RunResult:

@@ -21,6 +21,7 @@ matter which route (dict, TOML file, Python constructors) produced them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
@@ -244,6 +245,12 @@ class Objective:
         return out
 
 
+def repeated_seeds(seeds) -> list[int]:
+    """Seeds named more than once, sorted (one would count twice in the
+    median-of-seeds protocol)."""
+    return sorted(seed for seed, n in Counter(seeds).items() if n > 1)
+
+
 @dataclass(frozen=True)
 class ScaleSpec:
     """Fidelity/runtime knobs shared by every engine."""
@@ -379,7 +386,7 @@ class Scenario:
         return self.policy.build()
 
     def system_ref(self):
-        """A pipeline ``SystemRef`` for the pipeline engine's cells."""
+        """A pipeline ``SystemRef`` for the sim engine's cells."""
         from ..pipeline.spec import system_ref
 
         return system_ref(
@@ -430,6 +437,11 @@ class Scenario:
             )
         if not self.scale.seeds:
             problems.append("scale.seeds must name at least one seed")
+        for seed in repeated_seeds(self.scale.seeds):
+            problems.append(
+                f"scale.seeds repeats seed {seed}; each seed is one "
+                "replication of the median"
+            )
         if not problems:
             try:
                 kwargs = self.system_kwargs()

@@ -1,55 +1,45 @@
 """The Session facade: execute any Scenario on a chosen engine.
 
-A :class:`Session` pins the execution choices (engine, workers, cache,
-engine options) once; :meth:`Session.run` then accepts anything
-scenario-like — a :class:`~repro.scenarios.model.Scenario`, a plain
-dict, a ``.toml`` path, or a bundled scenario name — and returns the
-engine-independent :class:`~repro.scenarios.engines.ScenarioReport`.
+A :class:`Session` pins the engine and its options once; :meth:`Session.run`
+then takes a :class:`~repro.scenarios.model.Scenario`, a plain dict, a
+``.toml`` path or a bundled scenario name, and returns the
+engine-independent :class:`~repro.scenarios.engines.ScenarioReport`::
 
-::
-
-    from repro.scenarios import Session
-
-    report = Session(engine="fastsim").run("queueing-tail-quick")
-    print(report.render())
+    Session().run("queueing-tail-quick")                   # sim, inline
+    Session("sim", workers=2, cache_dir=".c").run("redis-tail-taming")
+    Session("live", requests=500).run("queueing-tail-quick")
 """
 
 from __future__ import annotations
 
+import inspect
 from pathlib import Path
 from typing import Mapping
 
 from ..obs.metrics import get_metrics
 from ..obs.trace import get_tracer
-from .engines import ENGINES, ScenarioReport, _tag, engine_names
-from .model import Scenario
+from .engines import ScenarioReport, run_live, run_sim
+from .model import Scenario, repeated_seeds
 
-#: Store-layer counters surfaced per run (deltas across the engine call).
+#: ``store.*`` counters surfaced per run (deltas across the engine call).
 _STORE_COUNTERS = (
-    "store.blocks_loaded",
-    "store.bytes_read",
-    "store.cache_hits",
-    "store.blocks_written",
-    "store.bytes_written",
+    "blocks_loaded", "bytes_read", "cache_hits",
+    "blocks_written", "bytes_written",
 )
 
 
-def _store_counter_values() -> dict[str, int]:
+def _store_counters() -> dict[str, int]:
     """Current process-wide store counters (absent metrics read as 0)."""
     registry = get_metrics()
-    out = {}
-    for name in _STORE_COUNTERS:
-        metric = registry.get(name)
-        out[name] = int(metric.value) if metric is not None else 0
-    return out
+    return {
+        name: int(getattr(registry.get(f"store.{name}"), "value", 0))
+        for name in _STORE_COUNTERS
+    }
 
 
 def coerce_scenario(source) -> Scenario:
-    """Anything scenario-like → Scenario.
-
-    Accepts a Scenario, a plain mapping, a path to a ``.toml`` file, or
-    the name of a bundled scenario.
-    """
+    """A Scenario, a plain mapping, a ``.toml`` path or a bundled
+    scenario name → Scenario."""
     from . import bundled_scenario, bundled_scenario_names
     from .serialize import load
 
@@ -57,9 +47,7 @@ def coerce_scenario(source) -> Scenario:
         return source
     if isinstance(source, Mapping):
         return Scenario.from_dict(source)
-    if isinstance(source, Path) or (
-        isinstance(source, str) and source.endswith(".toml")
-    ):
+    if isinstance(source, Path) or str(source).endswith(".toml"):
         return load(source)
     if isinstance(source, str):
         if source in bundled_scenario_names():
@@ -77,48 +65,36 @@ def coerce_scenario(source) -> Scenario:
 class Session:
     """Execute scenarios on one configured engine.
 
-    Parameters
-    ----------
-    engine:
-        ``"reference"``, ``"fastsim"``, ``"pipeline"``, or ``"serving"``.
-    workers, cache_dir:
-        Pipeline-engine execution knobs (ignored by other engines).
-    engine_options:
-        Extra keyword options forwarded to the engine (e.g. the serving
-        engine's ``requests`` / ``time_scale`` / ``concurrency``).
+    ``engine`` is ``"sim"`` (options ``workers``, ``cache_dir``) or
+    ``"live"`` (options ``requests``, ``time_scale``); see
+    :mod:`repro.scenarios.engines`. An option the engine does not take
+    raises ``TypeError`` naming the option and the engine.
     """
 
-    def __init__(
-        self,
-        engine: str = "reference",
-        *,
-        workers: int | None = None,
-        cache_dir=None,
-        engine_options: Mapping | None = None,
-    ):
-        if engine not in ENGINES:
+    def __init__(self, engine: str = "sim", **options):
+        runner = {"sim": run_sim, "live": run_live}.get(engine)
+        if runner is None:
             raise KeyError(
-                f"unknown engine {engine!r}; available: {engine_names()}"
+                f"unknown engine {engine!r}; available: ['live', 'sim']"
             )
+        takes = [
+            name
+            for name, param in inspect.signature(runner).parameters.items()
+            if param.kind is param.KEYWORD_ONLY
+        ]
+        for name in options:
+            if name not in takes:
+                raise TypeError(f"{name} does not apply to the {engine!r} engine")
         self.engine = engine
-        self.workers = workers
-        self.cache_dir = cache_dir
-        self.engine_options = dict(engine_options or {})
-
-    def _options(self) -> dict:
-        options = dict(self.engine_options)
-        if self.engine == "pipeline":
-            options.setdefault("workers", self.workers)
-            options.setdefault("cache_dir", self.cache_dir)
-        return options
+        self.options = options
+        self._runner = runner
 
     def run(self, scenario, *, seeds=None) -> ScenarioReport:
         """Execute ``scenario``; ``seeds`` overrides its scale's seeds.
 
         Under tracing (:mod:`repro.obs`) every run gets one root span —
         ``scenario.run`` with the scenario name, engine, and seed count —
-        so traces from all four engines hang off the same shape of root
-        and are directly comparable.
+        so traces from both engines hang off the same shape of root.
         """
         scenario = coerce_scenario(scenario).check()
         run_seeds = tuple(
@@ -126,37 +102,25 @@ class Session:
         )
         if not run_seeds:
             raise ValueError("need at least one evaluation seed")
-        tracer = get_tracer()
-        before = _store_counter_values()
-        with tracer.span(
+        repeated = repeated_seeds(run_seeds)
+        if repeated:
+            raise ValueError(
+                f"seed {repeated[0]} is repeated in seeds {list(run_seeds)}; "
+                "each seed is one replication of the median"
+            )
+        before = _store_counters()
+        with get_tracer().span(
             "scenario.run",
             scenario=scenario.name,
             engine=self.engine,
             n_seeds=len(run_seeds),
         ):
-            out = ENGINES[self.engine](scenario, run_seeds, **self._options())
-        runs, extra_meta = out if isinstance(out, tuple) else (out, {})
-        after = _store_counter_values()
-        store_delta = {
-            # meta keys drop the "store." prefix: blocks_loaded, ...
-            name.split(".", 1)[1]: after[name] - before[name]
-            for name in _STORE_COUNTERS
-            if after[name] != before[name]
-        }
-        meta = {"engine_options": self._options(), **extra_meta}
-        if store_delta:
-            meta["store"] = store_delta
-        return ScenarioReport(
-            scenario=scenario,
-            engine=self.engine,
-            seeds=run_seeds,
-            runs=_tag(list(runs), scenario, self.engine),
-            meta=meta,
-        )
-
-
-def run_scenario(
-    scenario, engine: str = "reference", *, seeds=None, **session_kwargs
-) -> ScenarioReport:
-    """One-call convenience: ``Session(engine, **kw).run(scenario)``."""
-    return Session(engine, **session_kwargs).run(scenario, seeds=seeds)
+            runs, meta = self._runner(scenario, run_seeds, **self.options)
+        after = _store_counters()
+        store = {k: v - before[k] for k, v in after.items() if v != before[k]}
+        if store:
+            meta["store"] = store
+        for run in runs:
+            run.meta.setdefault("scenario", scenario.name)
+            run.meta.setdefault("engine", self.engine)
+        return ScenarioReport(scenario, self.engine, run_seeds, runs, meta)

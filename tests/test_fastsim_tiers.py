@@ -249,7 +249,7 @@ class TestVisibility:
 
     def test_scenario_summary_surfaces_tier(self, monkeypatch):
         monkeypatch.setenv("REPRO_KERNEL", "numpy")
-        report = Session("fastsim").run("queueing-tail-quick")
+        report = Session("sim").run("queueing-tail-quick")
         section = report.summary()["fastsim"]
         assert section["kernel_tier"] == "numpy"
         assert section["kernel_tiers"] == {

@@ -236,7 +236,7 @@ class TestExports:
         from repro.scenarios import Session
 
         with tracing() as tracer, metrics_scope() as registry:
-            Session(engine="fastsim").run("queueing-tail-quick", seeds=[101])
+            Session().run("queueing-tail-quick", seeds=[101])
         return tracer.spans, registry
 
     def test_chrome_trace_schema(self):
@@ -308,9 +308,7 @@ class TestServingTrace:
             "scale": {"n_queries": 40, "seeds": [7]},
         }
         with tracing() as tracer:
-            Session(
-                engine="serving", engine_options={"time_scale": 2e-5}
-            ).run(scenario)
+            Session("live", time_scale=2e-5).run(scenario)
         arts = write_trace_artifacts(tracer.spans, tmp_path, stem="hedge")
         events = json.loads(arts["chrome"].read_text())["traceEvents"]
         children_of = {}
@@ -382,9 +380,7 @@ class TestServingTrace:
             "scale": {"n_queries": 20, "seeds": [11]},
         }
         with tracing() as tracer:
-            Session(
-                engine="serving", engine_options={"time_scale": 2e-5}
-            ).run(scenario)
+            Session("live", time_scale=2e-5).run(scenario)
         requests = [s for s in tracer.spans if s.name == "serving.request"]
         assert requests
         for span in requests:
@@ -402,7 +398,7 @@ class TestCliIntegration:
                 "trace",
                 "queueing-tail-quick",
                 "--engine",
-                "fastsim",
+                "sim",
                 "--seeds",
                 "101",
                 "--out",
@@ -418,25 +414,25 @@ class TestCliIntegration:
         chrome = json.loads((tmp_path / "smoke.chrome.json").read_text())
         assert chrome["traceEvents"]
 
-    def test_run_trace_flag_prints_summary(self, capsys):
+    def test_trace_json_carries_report_summary(self, tmp_path, capsys):
         from repro.main import main
 
         rc = main(
-            ["run", "queueing-tail-quick", "--engine", "fastsim",
-             "--seeds", "101", "--trace"]
+            ["trace", "queueing-tail-quick", "--seeds", "101",
+             "--out", str(tmp_path), "--json"]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "span summary" in out
-        assert "fastsim.replications" in out
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["summary"]["engine"] == "sim"
+        assert doc["summary"]["median_tail_ms"] > 0
+        assert doc["summary"]["fastsim"]["kernel_tiers"]
+        assert doc["spans"] > 0
+        assert "fastsim.replications" in doc["metrics"]
 
     def test_run_without_trace_flag_stays_silent(self, capsys):
         from repro.main import main
 
-        rc = main(
-            ["run", "queueing-tail-quick", "--engine", "fastsim",
-             "--seeds", "101"]
-        )
+        rc = main(["run", "queueing-tail-quick", "--seeds", "101"])
         assert rc == 0
         assert "span summary" not in capsys.readouterr().out
 
@@ -446,7 +442,7 @@ class TestPipelineCacheStats:
         from repro.main import main
 
         argv = [
-            "run", "queueing-tail-quick", "--engine", "pipeline",
+            "run", "queueing-tail-quick",
             "--cache", str(tmp_path / "c"), "--seeds", "101",
         ]
         assert main(argv) == 0
@@ -464,9 +460,9 @@ class TestPipelineCacheStats:
     def test_summary_json_includes_per_wave(self, tmp_path):
         from repro.scenarios import Session
 
-        report = Session(
-            engine="pipeline", cache_dir=tmp_path / "c"
-        ).run("queueing-tail-quick", seeds=[101])
+        report = Session(cache_dir=tmp_path / "c").run(
+            "queueing-tail-quick", seeds=[101]
+        )
         stats = report.summary()["pipeline"]
         assert {"cache_hits", "cache_misses", "per_wave"} <= set(stats)
         assert stats["per_wave"], "expected at least one wave"

@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from repro.main import main
+from repro.scenarios import Session
 
 
 class TestScenariosSubcommand:
@@ -15,8 +16,7 @@ class TestScenariosSubcommand:
         assert "redis-tail-taming" in out
         for section in ("engines:", "systems:", "policies:", "distributions:"):
             assert section in out
-        for engine in ("reference", "fastsim", "pipeline", "serving"):
-            assert engine in out
+        assert "engines: sim  live" in out
 
     def test_validate_bundled(self, capsys):
         assert main(["scenarios", "validate"]) == 0
@@ -45,19 +45,19 @@ class TestScenariosSubcommand:
 class TestRunSubcommand:
     def test_run_bundled_fastsim(self, capsys):
         rc = main(
-            ["run", "queueing-tail-quick", "--engine", "fastsim",
+            ["run", "queueing-tail-quick", "--engine", "sim",
              "--seeds", "101"]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "scenario queueing-tail-quick" in out
-        assert "engine=fastsim" in out
+        assert "engine=sim" in out
 
     def test_run_json_summary(self, capsys):
         import json
 
         rc = main(
-            ["run", "queueing-tail-quick", "--engine", "fastsim",
+            ["run", "queueing-tail-quick", "--engine", "sim",
              "--seeds", "101", "--json"]
         )
         assert rc == 0
@@ -71,11 +71,11 @@ class TestRunSubcommand:
         sc = bundled_scenario("queueing-tail-quick").with_scale(seeds=(3,))
         path = save(sc, tmp_path / "mine.toml")
         rc = main(
-            ["run", str(path), "--engine", "serving", "--requests", "60",
+            ["run", str(path), "--engine", "live", "--requests", "60",
              "--time-scale", "1e-6"]
         )
         assert rc == 0
-        assert "engine=serving" in capsys.readouterr().out
+        assert "engine=live" in capsys.readouterr().out
 
     def test_run_unknown_scenario(self, capsys):
         assert main(["run", "does-not-exist"]) == 2
@@ -88,10 +88,10 @@ class TestRunSubcommand:
     @pytest.mark.parametrize(
         "flags,engine",
         [
-            (["--workers", "4"], "fastsim"),
-            (["--cache", "/tmp/c"], "reference"),
-            (["--requests", "10"], "fastsim"),
-            (["--time-scale", "1e-4"], "pipeline"),
+            (["--workers", "4"], "live"),
+            (["--cache", "/tmp/c"], "live"),
+            (["--requests", "10"], "sim"),
+            (["--time-scale", "1e-4"], "sim"),
         ],
     )
     def test_engine_mismatched_flags_are_rejected(self, flags, engine, capsys):
@@ -100,16 +100,54 @@ class TestRunSubcommand:
         )
         assert rc == 2
         err = capsys.readouterr().err
-        assert flags[0] in err and engine in err
+        assert f"error: {flags[0]} does not apply to the {engine!r} engine" in err
+
+    @pytest.mark.parametrize(
+        "option,engine",
+        [
+            ("workers", "live"),
+            ("cache_dir", "live"),
+            ("requests", "sim"),
+            ("time_scale", "sim"),
+        ],
+    )
+    def test_engine_mismatched_options_are_rejected_by_session(
+        self, option, engine
+    ):
+        # The API path of the flag check: the engine refuses what it
+        # does not take instead of ignoring it.
+        with pytest.raises(
+            TypeError, match=f"{option} does not apply to the '{engine}'"
+        ):
+            Session(engine, **{option: 1})
 
     @pytest.mark.parametrize("command", ["run", "trace"])
     def test_zero_requests_is_rejected_not_defaulted(self, command, capsys):
         rc = main(
-            [command, "queueing-tail-quick", "--engine", "serving",
+            [command, "queueing-tail-quick", "--engine", "live",
              "--requests", "0"]
         )
         assert rc == 2
         assert "--requests must be >= 1, got 0" in capsys.readouterr().err
+
+    def test_zero_requests_is_rejected_by_live_engine(self):
+        # The API path: the live engine itself refuses a 0-query run.
+        with pytest.raises(ValueError, match="requests must be >= 1, got 0"):
+            Session("live", requests=0).run("queueing-tail-quick")
+
+    @pytest.mark.parametrize(
+        "engine", ["reference", "fastsim", "pipeline", "serving"]
+    )
+    def test_old_engine_names_are_invalid_choices(self, engine, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "queueing-tail-quick", "--engine", engine])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{engine}' (choose from 'sim', 'live')" in err
+
+    def test_repeated_seed_exits_2(self, capsys):
+        assert main(["run", "queueing-tail-quick", "--seeds", "101,101"]) == 2
+        assert "seed 101 is repeated" in capsys.readouterr().err
 
     def test_run_invalid_scenario_lists_problems(self, tmp_path, capsys):
         bad = tmp_path / "bad.toml"

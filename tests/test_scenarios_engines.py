@@ -1,12 +1,12 @@
 """Engine equivalence and the RunResult-based report.
 
-The acceptance contract: the same Scenario object runs under all four
-engines; ``reference`` and ``fastsim`` agree bit-for-bit per seed for
-**every registered system** (the test parametrizes over the registry, so
-registering a new system without adding an equivalence scenario fails
-here); the ``pipeline`` engine reproduces ``fastsim`` exactly (including
-through a cache replay); the ``serving`` engine returns the same report
-shape from a live asyncio run.
+The acceptance contract: the same Scenario object runs under both
+engines. ``sim`` is bit-for-bit the ``system.run(policy, as_rng(seed))``
+oracle loop for **every registered system** (the test parametrizes over
+the registry, so registering a new system without adding an equivalence
+scenario fails here), serially, on a process pool and from a cache
+replay, and reports the same kernel tiers on all three paths; the
+``live`` engine returns the same report shape from a live asyncio run.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.interfaces import RunResult
 from repro.core.policies import SingleD, SingleR
+from repro.distributions.base import as_rng
 from repro.scenarios import SYSTEMS, Session, bundled_scenario, scenario
 
 # Small but non-trivial per-system scenarios for the equivalence matrix.
@@ -79,110 +80,127 @@ def assert_runs_equal(a: RunResult, b: RunResult):
 def test_equivalence_matrix_covers_every_registered_system():
     assert set(EQUIVALENCE_SCENARIOS) == set(SYSTEMS.names()), (
         "a system was (un)registered; update EQUIVALENCE_SCENARIOS so the "
-        "reference-vs-fastsim contract keeps covering every system"
+        "sim-vs-oracle contract keeps covering every system"
     )
 
 
+def oracle_runs(sc):
+    """The reference: one unbatched ``system.run`` per seed."""
+    system, policy = sc.build_system(), sc.build_policy()
+    return [system.run(policy, as_rng(s)) for s in sc.scale.seeds]
+
+
+#: Kernel tiers the sim engine reports under REPRO_KERNEL=numpy (closed-
+#: form systems never touch the kernel; Redis' connection queue has no
+#: array mode, so it runs on the reference loop).
+EXPECTED_TIERS = {
+    "independent": {},
+    "correlated": {},
+    "queueing": {"numpy": 2},
+    "redis": {"reference": 1},
+    "lucene": {"numpy": 1},
+}
+
+
 @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_SCENARIOS))
-def test_reference_and_fastsim_agree_bit_for_bit(kind):
+def test_reference_and_fastsim_agree_bit_for_bit(kind, tmp_path, monkeypatch):
+    """The reference oracle loop and the sim engine (which runs the
+    fastsim kernels) agree per seed — serially, on 2 workers, and from a
+    cache replay — and every path reports the same kernel tiers."""
+    monkeypatch.setenv("REPRO_KERNEL", "numpy")
     sc = EQUIVALENCE_SCENARIOS[kind]
-    ref = Session("reference").run(sc)
-    fast = Session("fastsim").run(sc)
-    assert ref.seeds == fast.seeds == sc.scale.seeds
-    assert len(ref.runs) == len(fast.runs) == len(sc.scale.seeds)
-    for a, b in zip(ref.runs, fast.runs):
-        assert_runs_equal(a, b)
-    assert ref.median_tail == fast.median_tail
+    oracle = oracle_runs(sc)
+    reports = [
+        Session("sim").run(sc),
+        Session("sim", workers=2).run(sc),
+        Session("sim", cache_dir=tmp_path).run(sc),
+        Session("sim", cache_dir=tmp_path).run(sc),  # the replay
+    ]
+    assert reports[-1].meta["pipeline"]["cache_hits"] == len(sc.scale.seeds)
+    for report in reports:
+        assert report.seeds == sc.scale.seeds
+        assert len(report.runs) == len(oracle)
+        for a, b in zip(oracle, report.runs):
+            assert_runs_equal(a, b)
+        assert report.median_tail == reports[0].median_tail
+        assert report.summary()["fastsim"]["kernel_tiers"] == EXPECTED_TIERS[kind]
 
 
 class TestPipelineEngine:
+    """The sim engine's pipeline path: cache accounting and the pool."""
+
     def test_matches_fastsim_and_replays_from_cache(self, tmp_path):
         sc = EQUIVALENCE_SCENARIOS["queueing"]
-        fast = Session("fastsim").run(sc)
+        oracle = oracle_runs(sc)
         cache = tmp_path / "cache"
-        cold = Session("pipeline", cache_dir=cache).run(sc)
-        for a, b in zip(fast.runs, cold.runs):
+        cold = Session("sim", cache_dir=cache).run(sc)
+        for a, b in zip(oracle, cold.runs):
             assert_runs_equal(a, b)
         assert cold.meta["pipeline"]["cache_misses"] == len(sc.scale.seeds)
 
-        warm = Session("pipeline", cache_dir=cache).run(sc)
-        for a, b in zip(fast.runs, warm.runs):
+        warm = Session("sim", cache_dir=cache).run(sc)
+        for a, b in zip(oracle, warm.runs):
             assert_runs_equal(a, b)
         assert warm.meta["pipeline"]["cache_hits"] == len(sc.scale.seeds)
         assert warm.meta["pipeline"]["jobs"] == 0
 
     def test_parallel_matches_serial(self):
         sc = EQUIVALENCE_SCENARIOS["independent"]
-        serial = Session("pipeline").run(sc)
-        parallel = Session("pipeline", workers=2).run(sc)
+        serial = Session("sim").run(sc)
+        parallel = Session("sim", workers=2).run(sc)
         for a, b in zip(serial.runs, parallel.runs):
             assert_runs_equal(a, b)
 
 
 class TestServingEngine:
+    """The live engine: a HedgedClient run per seed."""
+
     def test_bundled_scenario_serves_live(self):
-        report = Session(
-            "serving",
-            engine_options={"requests": 120, "time_scale": 1e-6},
-        ).run(bundled_scenario("queueing-tail-quick"), seeds=(3,))
+        report = Session("live", requests=120, time_scale=1e-6).run(
+            bundled_scenario("queueing-tail-quick"), seeds=(3,)
+        )
         (run,) = report.runs
         assert run.n_queries == 120
         assert run.latencies.min() >= 0.0
         assert 0.0 <= run.reissue_rate <= len(run.latencies)
         assert np.isfinite(report.median_tail)
-        assert run.meta["engine"] == "serving"
+        assert run.meta["engine"] == "live"
         assert run.meta["scenario"] == "queueing-tail-quick"
 
     def test_system_backends_resolve(self):
         # redis/lucene scenarios bridge to their workload backends.
         for kind, backend in (("redis", "RedisBackend"), ("lucene", "SearchBackend")):
             sc = EQUIVALENCE_SCENARIOS[kind]
-            report = Session(
-                "serving",
-                engine_options={"requests": 40, "time_scale": 0.0},
-            ).run(sc, seeds=(5,))
+            report = Session("live", requests=40, time_scale=0.0).run(
+                sc, seeds=(5,)
+            )
             assert report.runs[0].meta["backend"] == backend
 
     def test_engine_rejects_unknown_options(self):
-        with pytest.raises(TypeError, match="serving"):
-            Session(
-                "serving", engine_options={"warp_factor": 9}
-            ).run(EQUIVALENCE_SCENARIOS["independent"], seeds=(1,))
+        with pytest.raises(TypeError, match="warp_factor.*'live'"):
+            Session("live", warp_factor=9)
 
 
 class TestAllEnginesOneScenario:
-    """The headline acceptance: one bundled Scenario object, four engines."""
+    """The headline acceptance: one bundled Scenario object, both engines."""
 
     def test_same_scenario_runs_everywhere(self):
         sc = bundled_scenario("queueing-tail-quick").with_scale(
             n_queries=600, seeds=(101,)
         )
         reports = {
-            engine: Session(
-                engine,
-                engine_options=(
-                    {"requests": 60, "time_scale": 1e-6}
-                    if engine == "serving"
-                    else {}
-                ),
-            ).run(sc)
-            for engine in ("reference", "fastsim", "pipeline", "serving")
+            "sim": Session("sim").run(sc),
+            "live": Session("live", requests=60, time_scale=1e-6).run(sc),
         }
-        # Simulator engines: identical bits.
-        assert_runs_equal(
-            reports["reference"].runs[0], reports["fastsim"].runs[0]
-        )
-        assert_runs_equal(
-            reports["reference"].runs[0], reports["pipeline"].runs[0]
-        )
-        # Every engine: the same report shape with the same summary keys.
-        # The sanctioned exceptions are the per-engine execution
-        # sections — "pipeline" (cache hits/misses, per-wave stats) and
-        # "fastsim" (which kernel tier actually executed) — execution
-        # detail only those engines can report.
+        # The simulator: identical bits to the oracle loop.
+        assert_runs_equal(oracle_runs(sc)[0], reports["sim"].runs[0])
+        # Both engines: the same report shape with the same summary keys.
+        # The sanctioned exceptions are sim's execution sections —
+        # "pipeline" (cache hits/misses, per-wave stats) and "fastsim"
+        # (which kernel tier actually executed).
         summaries = [r.summary() for r in reports.values()]
-        assert reports["pipeline"].summary()["pipeline"]["per_wave"]
-        assert reports["fastsim"].summary()["fastsim"]["kernel_tier"] in (
+        assert reports["sim"].summary()["pipeline"]["per_wave"]
+        assert reports["sim"].summary()["fastsim"]["kernel_tier"] in (
             "compiled",
             "numpy",
         )
@@ -201,14 +219,14 @@ class TestAllEnginesOneScenario:
 class TestReport:
     def test_summary_and_sla(self):
         sc = EQUIVALENCE_SCENARIOS["queueing"]
-        report = Session("fastsim").run(sc)
+        report = Session("sim").run(sc)
         s = report.summary()
         assert s["scenario"] == "eq-queueing"
-        assert s["engine"] == "fastsim"
+        assert s["engine"] == "sim"
         assert s["median_tail_ms"] == report.median_tail
         # SLA verdict appears only when the objective declares one.
         assert "sla_met" not in s
-        with_sla = Session("fastsim").run(
+        with_sla = Session("sim").run(
             scenario(
                 "sla",
                 system="independent",
@@ -233,7 +251,7 @@ class TestReport:
             n_queries=500,
             seeds=(1,),
         )
-        report = Session("fastsim").run(sc)
+        report = Session("sim").run(sc)
         assert 0.45 < report.median_reissue_rate < 0.55
         # 0.5 ≤ 1.5 × 0.4: within tolerance, and the summary says which
         # tolerance produced the verdict.
@@ -241,7 +259,7 @@ class TestReport:
         s = report.summary()
         assert s["within_budget"] is True
         assert s["budget_tolerance"] == ScenarioReport.BUDGET_TOLERANCE == 1.5
-        over = Session("fastsim").run(
+        over = Session("sim").run(
             scenario(
                 "over-budget",
                 system="independent",
@@ -253,7 +271,7 @@ class TestReport:
         )
         assert over.within_budget is False
         assert over.summary()["within_budget"] is False
-        no_budget = Session("fastsim").run(
+        no_budget = Session("sim").run(
             scenario(
                 "no-budget", system="independent", policy="none",
                 n_queries=500, seeds=(1,),
@@ -264,9 +282,24 @@ class TestReport:
 
     def test_seed_override(self):
         sc = EQUIVALENCE_SCENARIOS["independent"]
-        report = Session("fastsim").run(sc, seeds=(7,))
+        report = Session("sim").run(sc, seeds=(7,))
         assert report.seeds == (7,)
         assert len(report.runs) == 1
+
+    @pytest.mark.parametrize("engine", ["sim", "live"])
+    def test_repeated_seed_override_is_rejected(self, engine):
+        # A repeated seed would count twice in the median.
+        with pytest.raises(ValueError, match="seed 101 is repeated"):
+            Session(engine).run("queueing-tail-quick", seeds=(101, 101, 103))
+
+    def test_repeated_scale_seeds_fail_validation(self):
+        sc = EQUIVALENCE_SCENARIOS["independent"].with_scale(seeds=(5, 7, 5))
+        assert sc.validate() == [
+            "scale.seeds repeats seed 5; each seed is one replication of "
+            "the median"
+        ]
+        with pytest.raises(ValueError, match="repeats seed 5"):
+            Session("sim").run(sc)
 
 
 class TestEmptyTailError:
@@ -316,32 +349,34 @@ class TestStoreCounterSurfacing:
     )
 
     def test_no_store_activity_no_meta(self):
-        report = Session("reference").run(self.SC)
+        report = Session("sim").run(self.SC)
         assert "store" not in report.meta
         assert "store" not in report.summary()
 
     def test_store_deltas_attached_and_rendered(self, tmp_path, monkeypatch):
-        # Wrap the reference engine so the run itself touches a store;
+        # Wrap the replication loop so the run itself touches a store;
         # Session counts the counter deltas across the engine call.
         import numpy as np
 
-        from repro.scenarios import engines
+        import repro.fastsim
         from repro.store import TraceReader, TraceWriter
 
         path = tmp_path / "t.store"
         with TraceWriter(path, block_records=64) as w:
             w.append(np.arange(256, dtype=np.float64))
 
-        inner = engines.ENGINES["reference"]
+        inner = repro.fastsim.run_replications
 
-        def touching_engine(sc, seeds, **kw):
+        def touching_replications(system, policy, seeds):
             reader = TraceReader(path)
             reader.read_segment("primary")
             reader.read_block(0)  # a cache hit
-            return inner(sc, seeds, **kw)
+            return inner(system, policy, seeds)
 
-        monkeypatch.setitem(engines.ENGINES, "reference", touching_engine)
-        report = Session("reference").run(self.SC)
+        monkeypatch.setattr(
+            repro.fastsim, "run_replications", touching_replications
+        )
+        report = Session("sim").run(self.SC)
         store = report.meta["store"]
         assert store["blocks_loaded"] == 4
         assert store["cache_hits"] == 1
