@@ -7,7 +7,7 @@ Public API highlights:
 * :mod:`repro.simulation` — discrete-event cluster simulator (§5).
 * :mod:`repro.systems` — Redis and Lucene substrates (§6).
 * :mod:`repro.serving` — asyncio hedging runtime executing the policies
-  against live async backends (``repro serve``).
+  against live async backends (``repro loadgen``).
 * :mod:`repro.pipeline` — declarative, cached, batch-parallel experiment
   pipeline (spec → plan → execute → cache).
 * :mod:`repro.experiments` — declarative specs + render functions

@@ -20,8 +20,7 @@ the declarative Scenario API:
     repro store info trace.store
     repro figure list                    # paper figures
     repro figure run fig3 --scale quick
-    repro serve --backend drifting --policy auto
-    repro loadgen --shards 2 --rps 20000  # sharded fleet under open-loop load
+    repro loadgen --shards 2 --rps 20000  # live fleet under open-loop load
     repro loadgen --procs 2 --rps 20000   # worker processes over sockets
 """
 
@@ -37,11 +36,8 @@ from pathlib import Path
 from .cli import configure_figure_parser, run_figure_command
 from .serving.cli import (
     LOADGEN_DESCRIPTION,
-    SERVE_DESCRIPTION,
     configure_loadgen_parser,
-    configure_serve_parser,
     run_loadgen_command,
-    run_serve_command,
 )
 from .store.cli import (
     STORE_DESCRIPTION,
@@ -501,17 +497,10 @@ def build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figure", help="regenerate paper figures")
     configure_figure_parser(fig_p)
 
-    serve_p = sub.add_parser(
-        "serve",
-        help="serve a live request stream",
-        description=SERVE_DESCRIPTION,
-    )
-    configure_serve_parser(serve_p)
-
     loadgen_p = sub.add_parser(
         "loadgen",
-        help="drive a sharded serving fleet at a target RPS and record "
-        "BENCH_serving.json",
+        help="drive live traffic through a hedging fleet built from a "
+        "scenario",
         description=LOADGEN_DESCRIPTION,
     )
     configure_loadgen_parser(loadgen_p)
@@ -537,8 +526,6 @@ def main(argv=None) -> int:
         return run_store_command(args)
     if args.command == "figure":
         return run_figure_command(args)
-    if args.command == "serve":
-        return run_serve_command(args)
     if args.command == "loadgen":
         return run_loadgen_command(args)
     raise AssertionError(args.command)  # pragma: no cover

@@ -30,12 +30,12 @@ pluggable asynchronous backends:
   :class:`ProcessFleet`, which spawns the workers for that front door.
 * :mod:`~repro.serving.loadgen` — closed- vs open-loop
   :class:`LoadGenerator` driving a fleet at a target RPS, plus the
-  committed ``BENCH_serving.json`` record schema.
+  loadgen record schema.
 * :mod:`~repro.serving.chaos` — :class:`ChaosBackend` fault injection
   (latency spikes, error bursts, blackouts, clock skew) for hardening
   tests and degradation demos.
-* :mod:`~repro.serving.cli` — the ``repro serve`` / ``repro loadgen``
-  commands.
+* :mod:`~repro.serving.cli` — the ``repro loadgen`` command, the one
+  CLI for live traffic.
 """
 
 from .autotune import AutoTuner

@@ -22,12 +22,11 @@ Deadline-expired requests are censored and excluded — except probes,
 whose attempts both ran to completion and are fully observed even when
 they missed the SLA.
 
-Refit scheduling: with ``refit_mode="executor"`` (what the live
-``repro serve`` runtime uses) controller refits run on a single-worker
-thread pool, so a refit over a large window never pauses the event
-loop's timer dispatch — batches are handed to the worker in arrival
-order, and :meth:`AutoTuner.drain` joins the queue when a
-deterministic read of the tuned policy is needed. The default
+Refit scheduling: with ``refit_mode="executor"`` controller refits run
+on a single-worker thread pool, so a refit over a large window never
+pauses the event loop's timer dispatch — batches are handed to the
+worker in arrival order, and :meth:`AutoTuner.drain` joins the queue
+when a deterministic read of the tuned policy is needed. The default
 ``refit_mode="sync"`` keeps the historical inline behaviour: every
 refit completes inside ``record``, which is what tests (and any caller
 that wants strictly reproducible policy timelines) rely on.
@@ -65,7 +64,7 @@ class AutoTuner:
         deterministic, the mode tests use. ``"executor"`` hands each
         flushed batch to a single-worker thread pool so refits never
         block the serving event loop; call :meth:`drain` to wait for
-        in-flight refits (``repro serve`` drains before reporting).
+        in-flight refits (or :meth:`close` to drain and shut down).
     """
 
     def __init__(

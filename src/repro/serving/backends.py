@@ -8,9 +8,9 @@ workload can run at full fidelity (``time_scale=1e-3``: one wall ms per
 model ms) or compressed for tests (``time_scale=5e-5``).
 
 All simulated backends keep live counters (``started`` / ``completed`` /
-``cancelled`` / ``in_flight`` / ``peak_in_flight``) so tests and the
-``repro serve`` CLI can assert cancellation and admission-control
-behavior without instrumenting the event loop.
+``cancelled`` / ``in_flight`` / ``peak_in_flight``) so tests can assert
+cancellation and admission-control behavior without instrumenting the
+event loop.
 """
 
 from __future__ import annotations

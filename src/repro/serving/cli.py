@@ -1,221 +1,35 @@
-"""The hedging-runtime commands of the ``repro`` CLI: ``repro serve``
-(one hedged client against a live stream) and ``repro loadgen`` (a load
-generator against a serving fleet). ``repro.main`` mounts both.
+"""The live-traffic command of the ``repro`` CLI: ``repro loadgen``, a
+load generator against a hedging fleet built from a scenario.
+``repro.main`` mounts it.
 
 Examples
 --------
 ::
 
-    repro serve --backend drifting --policy auto --requests 4000
-    repro serve --backend search --policy singler --delay 60 --prob 0.4
-    repro serve --backend synthetic --policy none --requests 2000 \
-        --time-scale 1e-4 --report-every 500
+    repro loadgen fleet-tail-quick --shards 1    # one hedged client
+    repro loadgen fleet-tail-quick --autotune --out loadgen.json
+    repro loadgen my.toml --procs 2 --rps 20000  # worker processes
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
 
 import numpy as np
 
-from ..core.policies import ImmediateReissue, NoReissue, SingleD, SingleR
-from ..distributions import LogNormal
+from ..core.online import DriftDetector
 from .autotune import AutoTuner
-from .backends import (
-    DriftingBackend,
-    RedisBackend,
-    SearchBackend,
-    SyntheticBackend,
-)
-from .hedge import HedgedClient
 
-BACKENDS = ("synthetic", "drifting", "redis", "search")
-POLICIES = ("auto", "none", "singler", "singled", "immediate")
-
-
-def build_backend(args, rng) -> object:
-    dist = LogNormal(mu=args.lognormal_mu, sigma=args.lognormal_sigma)
-    if args.backend == "synthetic":
-        return SyntheticBackend(dist, time_scale=args.time_scale, rng=rng)
-    if args.backend == "drifting":
-        # Latency regime doubles for the middle half of the stream, then
-        # recovers — the §4.4 drift scenario in miniature.
-        n = args.requests
-        schedule = ((0, 1.0), (n // 4, 2.0), (3 * n // 4, 1.0))
-        return DriftingBackend(
-            dist, schedule, time_scale=args.time_scale, rng=rng
-        )
-    if args.backend == "redis":
-        return RedisBackend(time_scale=args.time_scale, rng=rng)
-    if args.backend == "search":
-        return SearchBackend(time_scale=args.time_scale, rng=rng)
-    # Reachable when args bypass argparse choices (programmatic callers):
-    # name the flag and the valid values, like the parser would.
-    raise ValueError(
-        f"--backend: unknown backend {args.backend!r} "
-        f"(valid: {', '.join(BACKENDS)})"
-    )
-
-
-def build_policy_and_tuner(args):
-    if args.policy == "auto":
-        # Live runtime: refits run on the tuner's worker thread so a
-        # large-window fit never pauses the event loop's timers.
-        tuner = AutoTuner(
-            percentile=args.percentile,
-            budget=args.budget,
-            batch_size=args.batch_size,
-            refit_interval=args.refit_interval,
-            refit_mode="executor",
-        )
-        return None, tuner
-    if args.policy == "none":
-        return NoReissue(), None
-    if args.policy == "immediate":
-        return ImmediateReissue(), None
-    if args.policy == "singled":
-        return SingleD(args.delay), None
-    if args.policy == "singler":
-        return SingleR(args.delay, args.prob), None
-    raise ValueError(
-        f"--policy: unknown policy {args.policy!r} "
-        f"(valid: {', '.join(POLICIES)})"
-    )
-
-
-async def serve_stream(client: HedgedClient, args) -> None:
-    served = 0
-    while served < args.requests:
-        chunk = min(args.report_every, args.requests - served)
-        await client.serve(
-            chunk,
-            interarrival_ms=args.interarrival_ms,
-            poisson=args.interarrival_ms > 0.0,
-            start_id=served,
-        )
-        served += chunk
-        snap = client.metrics.snapshot()
-        policy = client.policy
-        print(f"-- after {served} requests  (policy {policy!r})")
-        print(snap.render())
-
-
-SERVE_DESCRIPTION = (
-    "Serve a live request stream through a reissue policy "
-    "(hedging runtime for 'Optimal Reissue Policies for Reducing "
-    "Tail Latency', SPAA 2017)."
-)
-
-
-def configure_serve_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``repro serve`` arguments."""
-    parser.add_argument("--backend", choices=BACKENDS, default="drifting")
-    parser.add_argument("--policy", choices=POLICIES, default="auto")
-    parser.add_argument("--requests", type=int, default=4_000)
-    parser.add_argument("--concurrency", type=int, default=64)
-    parser.add_argument("--deadline-ms", type=float, default=None)
-    parser.add_argument(
-        "--budget", type=float, default=0.05, help="reissue budget (auto)"
-    )
-    parser.add_argument(
-        "--percentile", type=float, default=0.99, help="target tail (auto)"
-    )
-    parser.add_argument("--delay", type=float, default=50.0)
-    parser.add_argument("--prob", type=float, default=0.5)
-    # Must be >= DriftDetector.min_samples (500): the KS detector ignores
-    # smaller batches, which would silently kill drift-triggered refits.
-    parser.add_argument("--batch-size", type=int, default=500)
-    parser.add_argument("--refit-interval", type=int, default=1_000)
-    parser.add_argument(
-        "--probe-fraction",
-        type=float,
-        default=0.02,
-        help="fraction of requests served as measurement probes",
-    )
-    parser.add_argument(
-        "--time-scale",
-        type=float,
-        default=2e-4,
-        help="wall seconds per model millisecond",
-    )
-    parser.add_argument(
-        "--interarrival-ms",
-        type=float,
-        default=0.0,
-        help="mean Poisson interarrival gap in model ms (0 = closed burst)",
-    )
-    parser.add_argument("--report-every", type=int, default=1_000)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--lognormal-mu", type=float, default=3.0, help="synthetic backends"
-    )
-    parser.add_argument(
-        "--lognormal-sigma", type=float, default=0.8, help="synthetic backends"
-    )
-
-
-def run_serve_command(args) -> int:
-    """Execute a parsed serve command."""
-    if args.requests < 1:
-        print("--requests must be >= 1", file=sys.stderr)
-        return 2
-    if args.report_every < 1:
-        print("--report-every must be >= 1", file=sys.stderr)
-        return 2
-    if args.policy == "auto":
-        from ..core.online import DriftDetector
-
-        min_samples = DriftDetector().min_samples
-        if args.batch_size < min_samples:
-            print(
-                f"warning: --batch-size {args.batch_size} is below the "
-                f"drift detector's minimum sample count ({min_samples}); "
-                "drift-triggered refits will never fire, only damped "
-                "interval refits.",
-                file=sys.stderr,
-            )
-
-    # Independent streams for the backend (service times) and the client
-    # (policy coins, probe selection): seeding both with the same integer
-    # would couple hedging decisions to the latency draws they race.
-    backend_seq, client_seq = np.random.SeedSequence(args.seed).spawn(2)
-    try:
-        backend = build_backend(args, np.random.default_rng(backend_seq))
-        policy, tuner = build_policy_and_tuner(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    client = HedgedClient(
-        backend,
-        policy,
-        concurrency=args.concurrency,
-        deadline_ms=args.deadline_ms,
-        probe_fraction=args.probe_fraction,
-        tuner=tuner,
-        rng=np.random.default_rng(client_seq),
-    )
-
-    asyncio.run(serve_stream(client, args))
-
-    snap = client.metrics.snapshot()
-    print("== final ==")
-    print(snap.render())
-    if tuner is not None:
-        tuner.close()  # drain in-flight executor refits, then report
-        print(
-            f"  policy refits        {tuner.n_refits:>10d}"
-            f"  (final {client.policy!r})"
-        )
-    print(f"  peak concurrency     {client.peak_in_flight:>10d}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# repro loadgen: drive a sharded fleet at a target load
-# ---------------------------------------------------------------------------
+#: The AutoTuner batching of every ``--autotune`` run, in-loop and
+#: ``--procs`` alike. A batch is never smaller than the KS drift
+#: detector's minimum sample count, which ignores smaller batches and
+#: would leave only the interval refits.
+AUTOTUNE_BATCHING = {
+    "batch_size": DriftDetector().min_samples,
+    "refit_interval": 500,
+}
 
 LOADGEN_DESCRIPTION = (
     "Drive a sharded hedging fleet with a closed- or open-loop load "
@@ -329,18 +143,6 @@ def configure_loadgen_parser(parser: argparse.ArgumentParser) -> None:
         help="measurement-probe fraction per shard (default: 0.02)",
     )
     parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=200,
-        help="autotuner observation batch (default: 200)",
-    )
-    parser.add_argument(
-        "--refit-interval",
-        type=int,
-        default=500,
-        help="autotuner controller refit interval (default: 500)",
-    )
-    parser.add_argument(
         "--chaos-spike",
         type=float,
         default=None,
@@ -359,15 +161,10 @@ def configure_loadgen_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--out",
         type=Path,
-        default=Path("BENCH_serving.json"),
+        default=None,
         metavar="FILE",
-        help="where to write the loadgen record "
-        "(default: ./BENCH_serving.json)",
-    )
-    parser.add_argument(
-        "--no-write",
-        action="store_true",
-        help="report only; do not write the BENCH_serving.json record",
+        help="write the loadgen record (JSON) to FILE (default: write "
+        "no file)",
     )
     parser.add_argument(
         "--store",
@@ -460,8 +257,7 @@ def run_loadgen_command(args) -> int:
     autotune_kwargs = {
         "percentile": objective.percentile,
         "budget": objective.budget if objective.budget is not None else 0.05,
-        "batch_size": args.batch_size,
-        "refit_interval": args.refit_interval,
+        **AUTOTUNE_BATCHING,
     }
     chaos_seq, gen_seq = np.random.SeedSequence(
         (args.seed, 0xC4A05)
@@ -577,7 +373,7 @@ def run_loadgen_command(args) -> int:
             print(f"error: cannot append to {args.store}: {exc}", file=sys.stderr)
             return 2
         print(f"appended {appended} latencies to {args.store}")
-    if not args.no_write:
+    if args.out is not None:
         try:
             args.out.parent.mkdir(parents=True, exist_ok=True)
             args.out.write_text(json.dumps(record, indent=2) + "\n")

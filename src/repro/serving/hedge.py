@@ -178,9 +178,9 @@ class HedgedClient:
         *,
         interarrival_ms: float = 0.0,
         poisson: bool = False,
-        start_id: int = 0,
     ) -> list[RequestOutcome]:
-        """Serve an open-loop stream of ``n_requests`` requests.
+        """Serve an open-loop stream of ``n_requests`` requests, with
+        query ids ``0 .. n_requests - 1``.
 
         Arrivals are spaced ``interarrival_ms`` apart (exponential gaps
         when ``poisson``); the admission semaphore, not the arrival loop,
@@ -194,7 +194,7 @@ class HedgedClient:
         scale = self.backend.time_scale
         tasks = []
         for i in range(n_requests):
-            tasks.append(asyncio.create_task(self.request(start_id + i)))
+            tasks.append(asyncio.create_task(self.request(i)))
             if interarrival_ms > 0.0:
                 gap = (
                     float(self._rng.exponential(interarrival_ms))

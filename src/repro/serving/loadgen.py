@@ -11,8 +11,8 @@ closed-vs-open argument, restated for hedging fleets):
 * **open loop** — arrivals come from an external clock (Poisson or
   uniform gaps at ``target_rps``), independent of completions. A
   straggler leaves arrivals accumulating against the admission limit —
-  which is how production traffic behaves, and why the committed
-  ``BENCH_serving.json`` is measured open-loop.
+  which is how production traffic behaves, and why ``repro loadgen``
+  defaults to an open loop.
 
 ``target_rps`` is *wall-clock* arrivals per second. Simulated backends
 compress model time by ``time_scale`` (one model millisecond costs
@@ -20,8 +20,8 @@ compress model time by ``time_scale`` (one model millisecond costs
 genuinely sustains tens of thousands of wall RPS while latency
 *statistics* stay in model milliseconds.
 
-:func:`as_record` shapes one run into the committed
-``BENCH_serving.json`` document and :func:`validate_record` is the
+:func:`as_record` shapes one run into the loadgen record that
+``repro loadgen --out`` writes, and :func:`validate_record` is the
 schema check shared by the tests and the CI fleet job.
 """
 
@@ -42,9 +42,9 @@ from .fleet import ServingFleet
 ARRIVALS = ("poisson", "uniform")
 MODES = ("open", "closed")
 
-#: Schema version of the BENCH_serving.json document. Version 2 added
+#: Schema version of the loadgen record. Version 2 added
 #: ``results.transport`` and the per-worker ``issued`` counter (with its
-#: per-worker counter identity); version-1 records stay readable.
+#: per-worker counter identity); it is the only version accepted.
 RECORD_VERSION = 2
 RECORD_KIND = "serving-loadgen"
 
@@ -286,14 +286,14 @@ class LoadGenerator:
 
 
 # ---------------------------------------------------------------------------
-# The committed BENCH_serving.json document
+# The loadgen record
 # ---------------------------------------------------------------------------
 
 
 def as_record(
     result: LoadgenResult, scenario: str, config: Mapping | None = None
 ) -> dict:
-    """Shape one loadgen run into the ``BENCH_serving.json`` schema."""
+    """Shape one loadgen run into the loadgen record schema."""
     quantiles = {k: float(v) for k, v in result.quantiles.items()}
     return {
         "version": RECORD_VERSION,
@@ -331,17 +331,13 @@ def as_record(
 
 
 def validate_record(record) -> list[str]:
-    """Schema check for a BENCH_serving.json document.
+    """Schema check for a loadgen record.
 
     Returns a list of problems (empty: valid). Shared by the unit tests
-    and the CI fleet job so the committed artifact and every CI-emitted
-    one are held to the same contract.
-
-    Both schema versions are accepted: version-1 records (single-loop
-    fleets, pre-``transport``) are held to the version-1 contract;
-    version-2 records additionally need ``results.transport`` and the
-    per-worker counter identity ``issued == completed + shed + errors``
-    on every ``per_shard`` entry.
+    and the CI fleet job so every emitted record is held to the same
+    contract: version ``RECORD_VERSION``, a ``results.transport``, and
+    the counter identity ``issued == completed + shed + errors`` on the
+    totals and on every ``per_shard`` entry.
     """
     errors: list[str] = []
 
@@ -352,10 +348,9 @@ def validate_record(record) -> list[str]:
     check(isinstance(record, dict), "record must be a JSON object")
     if not isinstance(record, dict):
         return errors
-    version = record.get("version")
     check(
-        version in (1, RECORD_VERSION),
-        f"version must be 1 (legacy) or {RECORD_VERSION}",
+        record.get("version") == RECORD_VERSION,
+        f"version must be {RECORD_VERSION}",
     )
     check(record.get("kind") == RECORD_KIND, f"kind must be {RECORD_KIND!r}")
     check(
@@ -441,35 +436,32 @@ def validate_record(record) -> list[str]:
             len(per_shard) == results["shards"],
             "results.per_shard must have one entry per shard",
         )
-    if version == RECORD_VERSION:
-        check(
-            results.get("transport") in RECORD_TRANSPORTS,
-            "results.transport must be one of "
-            f"{RECORD_TRANSPORTS} (version >= 2)",
-        )
-        if isinstance(per_shard, list):
-            for entry in per_shard:
-                if not isinstance(entry, dict):
-                    errors.append("per_shard entries must be objects")
-                    continue
-                label = f"per_shard[{entry.get('shard', '?')}]"
-                counters = {}
-                for name in ("issued", "completed", "shed", "errors"):
-                    value = entry.get(name)
-                    if not isinstance(value, int) or value < 0:
-                        errors.append(
-                            f"{label}.{name} must be a non-negative "
-                            "integer (version >= 2)"
-                        )
-                        break
-                    counters[name] = value
-                else:
-                    check(
-                        counters["issued"]
-                        == counters["completed"]
-                        + counters["shed"]
-                        + counters["errors"],
-                        f"{label}: issued must equal "
-                        "completed + shed + errors",
+    check(
+        results.get("transport") in RECORD_TRANSPORTS,
+        f"results.transport must be one of {RECORD_TRANSPORTS}",
+    )
+    if isinstance(per_shard, list):
+        for entry in per_shard:
+            if not isinstance(entry, dict):
+                errors.append("per_shard entries must be objects")
+                continue
+            label = f"per_shard[{entry.get('shard', '?')}]"
+            counters = {}
+            for name in ("issued", "completed", "shed", "errors"):
+                value = entry.get(name)
+                if not isinstance(value, int) or value < 0:
+                    errors.append(
+                        f"{label}.{name} must be a non-negative integer"
                     )
+                    break
+                counters[name] = value
+            else:
+                check(
+                    counters["issued"]
+                    == counters["completed"]
+                    + counters["shed"]
+                    + counters["errors"],
+                    f"{label}: issued must equal "
+                    "completed + shed + errors",
+                )
     return errors

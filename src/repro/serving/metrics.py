@@ -38,7 +38,7 @@ class MetricsSnapshot:
     quantiles: Mapping[float, float] = field(default_factory=dict)
 
     def render(self) -> str:
-        """A compact one-report table (used by ``repro serve``)."""
+        """A compact one-report table of this snapshot."""
         lines = [
             f"  requests completed   {self.completed:>10d}",
             f"  reissues sent        {self.reissues_sent:>10d}"

@@ -73,6 +73,9 @@ TRANSPORTS = ("unix", "tcp")
 #: whose span dicts exceed it is rejected and those spans are dropped.
 MAX_FRAME_BYTES = 16 * 1024 * 1024
 
+#: Seconds every worker of a fleet gets, together, to come up.
+SPAWN_TIMEOUT_S = 60.0
+
 _LEN = struct.Struct("!I")
 
 # -- message types -----------------------------------------------------------
@@ -400,32 +403,42 @@ async def _worker_serve(spec: dict) -> None:
     from .hedge import HedgedClient
 
     shard_id = int(spec["shard_id"])
-    scenario = Scenario.from_dict(spec["scenario"])
-    backend_seq, client_seq = np.random.SeedSequence(
-        (int(spec["seed"]), shard_id, 0xF1EE7)
-    ).spawn(2)
-    backend = serving_backend(
-        scenario, spec["time_scale"], np.random.default_rng(backend_seq)
-    )
-    tuner = AutoTuner(**spec["autotune"]) if spec["autotune"] else None
-    policy = None
-    if spec["policy"] is not None and tuner is None:
-        policy = ReissuePolicy.from_spec(spec["policy"])
-    store = RemotePolicyStore(
-        spec["store_address"],
-        transport=spec["transport"],
-        poll_every=spec["poll_every"],
-    )
-    client = HedgedClient(
-        backend,
-        policy,
-        concurrency=spec["concurrency"],
-        deadline_ms=spec["deadline_ms"],
-        probe_fraction=spec["probe_fraction"],
-        tuner=tuner,
-        rng=np.random.default_rng(client_seq),
-    )
-    shard = ShardWorker(shard_id, client, store, spec["admission_limit"])
+    store = None
+    try:
+        scenario = Scenario.from_dict(spec["scenario"])
+        backend_seq, client_seq = np.random.SeedSequence(
+            (int(spec["seed"]), shard_id, 0xF1EE7)
+        ).spawn(2)
+        backend = serving_backend(
+            scenario, spec["time_scale"], np.random.default_rng(backend_seq)
+        )
+        tuner = AutoTuner(**spec["autotune"]) if spec["autotune"] else None
+        policy = None
+        if spec["policy"] is not None and tuner is None:
+            policy = ReissuePolicy.from_spec(spec["policy"])
+        client = HedgedClient(
+            backend,
+            policy,
+            concurrency=spec["concurrency"],
+            deadline_ms=spec["deadline_ms"],
+            probe_fraction=spec["probe_fraction"],
+            tuner=tuner,
+            rng=np.random.default_rng(client_seq),
+        )
+        store = RemotePolicyStore(
+            spec["store_address"],
+            transport=spec["transport"],
+            poll_every=spec["poll_every"],
+        )
+        shard = ShardWorker(shard_id, client, store, spec["admission_limit"])
+    except Exception as exc:  # noqa: BLE001 - reported to the parent
+        # The parent reads the cause from the ready file instead of a
+        # bare exit code; the worker exits without a traceback.
+        if store is not None:
+            store.close()
+        cause = f"{type(exc).__name__}: {exc}"
+        _write_ready(spec["ready_path"], {"error": cause})
+        return
     done = asyncio.Event()
     serving: set[asyncio.Task] = set()  # strong refs: the loop's are weak
 
@@ -514,16 +527,22 @@ async def _worker_serve(spec: dict) -> None:
         else:
             server = await asyncio.start_server(handle_conn, "127.0.0.1", 0)
             address = list(server.sockets[0].getsockname())
-        # The ready file both signals readiness and reports the bound
-        # address (a TCP worker picks its own port). Write-then-rename so
-        # the parent never reads a half-written file.
-        tmp_path = spec["ready_path"] + ".tmp"
-        with open(tmp_path, "w") as fh:
-            json.dump({"address": address, "pid": os.getpid()}, fh)
-        os.replace(tmp_path, spec["ready_path"])
+        _write_ready(
+            spec["ready_path"], {"address": address, "pid": os.getpid()}
+        )
         async with server:
             await done.wait()
     store.close()
+
+
+def _write_ready(path: str, info: dict) -> None:
+    """Write the worker's ready file: the bound address once it serves
+    (a TCP worker picks its own port), or the startup error. Write-then-
+    rename so the parent never reads a half-written file."""
+    tmp_path = path + ".tmp"
+    with open(tmp_path, "w") as fh:
+        json.dump(info, fh)
+    os.replace(tmp_path, path)
 
 
 # ---------------------------------------------------------------------------
@@ -581,14 +600,22 @@ class WorkerHandle:
         deadline = time.monotonic() + timeout
         ready_path = self.spec["ready_path"]
         while time.monotonic() < deadline:
+            # Sampled before the file check: a worker that writes its
+            # ready file and then exits is still read, not reported dead.
+            exited = not self.process.is_alive()
             if os.path.exists(ready_path):
                 with open(ready_path) as fh:
                     info = json.load(fh)
+                if "error" in info:
+                    raise RuntimeError(
+                        f"worker {self.shard_id} failed at startup: "
+                        f"{info['error']}"
+                    )
                 self.address = info["address"]
                 self._detail["pid"] = info["pid"]
                 self.alive = True
                 return
-            if not self.process.is_alive():
+            if exited:
                 raise RuntimeError(
                     f"worker {self.shard_id} exited during startup "
                     f"(exitcode {self.process.exitcode})"
@@ -773,7 +800,6 @@ class ProcessFleet(ServingFleet):
         transport: str = "unix",
         poll_every: int = 8,
         seed: int = 0,
-        spawn_timeout: float = 60.0,
     ):
         if n_procs < 1:
             raise ValueError("n_procs must be >= 1")
@@ -831,7 +857,7 @@ class ProcessFleet(ServingFleet):
             cleanup.callback(super().close)
             for worker in self.shards:
                 worker.process.start()
-            deadline = time.monotonic() + spawn_timeout
+            deadline = time.monotonic() + SPAWN_TIMEOUT_S
             for worker in self.shards:
                 worker.wait_ready(max(deadline - time.monotonic(), 0.1))
             # Everything came up: the teardown now belongs to close().

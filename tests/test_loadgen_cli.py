@@ -1,4 +1,4 @@
-"""Tests for ``repro loadgen`` and the BENCH_serving.json record schema."""
+"""Tests for ``repro loadgen`` and its record schema."""
 
 import json
 
@@ -18,7 +18,7 @@ QUICK = [
 
 
 def run_quick(tmp_path, *extra):
-    out = tmp_path / "BENCH_serving.json"
+    out = tmp_path / "loadgen.json"
     rc = main([*QUICK, "--out", str(out), *extra])
     return rc, out
 
@@ -36,15 +36,14 @@ class TestLoadgenRuns:
         assert record["results"]["shards"] == 2
         assert record["scenario"] == "fleet-tail-quick"
 
-    def test_no_write_skips_the_record(self, tmp_path, capsys):
-        rc, out = run_quick(tmp_path, "--no-write")
-        assert rc == 0
-        assert not out.exists()
+    def test_no_out_writes_no_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(QUICK) == 0
+        assert list(tmp_path.iterdir()) == []
         assert "wrote" not in capsys.readouterr().out
 
     def test_json_output_is_the_record(self, tmp_path, capsys):
-        rc, _ = run_quick(tmp_path, "--json", "--no-write")
-        assert rc == 0
+        assert main([*QUICK, "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
         assert record["kind"] == RECORD_KIND
         assert record["version"] == RECORD_VERSION
@@ -67,15 +66,11 @@ class TestLoadgenRuns:
         assert record["config"]["users"] == 4
 
     def test_chaos_spike_is_reported(self, tmp_path, capsys):
-        rc, _ = run_quick(
-            tmp_path, "--no-write", "--chaos-spike", "10", "--chaos-prob", "1"
-        )
-        assert rc == 0
+        assert main([*QUICK, "--chaos-spike", "10", "--chaos-prob", "1"]) == 0
         assert "chaos on shard 0" in capsys.readouterr().out
 
     def test_autotune_reports_store_version(self, tmp_path, capsys):
-        rc, _ = run_quick(tmp_path, "--no-write", "--autotune")
-        assert rc == 0
+        assert main([*QUICK, "--autotune"]) == 0
         assert "policy refits" in capsys.readouterr().out
 
     def test_procs_smoke_writes_valid_v2_record(self, tmp_path, capsys):
@@ -109,7 +104,7 @@ class TestLoadgenRuns:
                 threading.Timer(0.03, self.shards[1].process.kill).start()
 
         monkeypatch.setattr(procfleet, "ProcessFleet", KilledMidRun)
-        out = tmp_path / "BENCH_serving.json"
+        out = tmp_path / "loadgen.json"
         rc = main(
             [
                 "loadgen", "fleet-tail-quick", "--procs", "2",
@@ -153,7 +148,7 @@ class TestLoadgenArgumentErrors:
 
     @pytest.mark.parametrize("n", ["0", "-5"])
     def test_requests_below_one(self, n, capsys):
-        err = self.err(capsys, "--requests", n, "--no-write")
+        err = self.err(capsys, "--requests", n)
         assert f"--requests must be >= 1, got {n}" in err
 
     def test_negative_rps(self, capsys):
@@ -166,7 +161,7 @@ class TestLoadgenArgumentErrors:
         assert "--chaos-prob" in self.err(capsys, "--chaos-prob", "1.5")
 
     def test_unknown_scenario(self, capsys):
-        err = self.err(capsys, "no-such-scenario", "--no-write")
+        err = self.err(capsys, "no-such-scenario")
         assert "no-such-scenario" in err
 
     def test_procs_below_one(self, capsys):
@@ -185,6 +180,24 @@ class TestLoadgenArgumentErrors:
     def test_chaos_spike_rejected_with_procs(self, capsys):
         err = self.err(capsys, "--procs", "2", "--chaos-spike", "10")
         assert "--chaos-spike" in err and "--procs" in err
+
+    @pytest.mark.parametrize(
+        "flag, value, cause",
+        [
+            ("--concurrency", "0", "concurrency must be >= 1"),
+            ("--time-scale", "-1", "time_scale must be >= 0"),
+        ],
+    )
+    def test_startup_error_names_its_cause_on_both_fleets(
+        self, capfd, flag, value, cause
+    ):
+        # A worker process that fails to build its shard reports why,
+        # like the in-loop fleet does, instead of a bare exit code. capfd
+        # also sees the worker's stderr, where a traceback would go.
+        for fleet in (["--shards", "1"], ["--procs", "1"]):
+            err = self.err(capfd, *fleet, "--requests", "10", flag, value)
+            assert cause in err
+            assert "Traceback" not in err
 
 
 class TestValidateRecord:
@@ -230,14 +243,9 @@ class TestValidateRecord:
         problems = validate_record(record)
         assert any("per_shard[0]" in p for p in problems)
 
-    def test_legacy_v1_record_still_validates(self, record):
-        # A pre-transport record (as committed by earlier revisions):
-        # no results.transport, no per-shard issued counters.
+    def test_v1_record_is_rejected(self, record):
         record["version"] = 1
-        del record["results"]["transport"]
-        for shard in record["results"]["per_shard"]:
-            del shard["issued"]
-        assert validate_record(record) == []
+        assert any("version" in p for p in validate_record(record))
 
     def test_unknown_version_rejected(self, record):
         record["version"] = 3
@@ -251,8 +259,7 @@ class TestLoadgenStore:
         from repro.store import TraceReader, sort_trace, EmpiricalStore
 
         store = tmp_path / "lat.store"
-        rc, _ = run_quick(tmp_path, "--no-write", "--store", str(store))
-        assert rc == 0
+        assert main([*QUICK, "--store", str(store)]) == 0
         assert f"to {store}" in capsys.readouterr().out
         reader = TraceReader(store)
         n_first = reader.total_records
@@ -260,8 +267,7 @@ class TestLoadgenStore:
         assert np.all(reader.read_segment("primary") >= 0.0)
 
         # A second run appends to the same store.
-        rc, _ = run_quick(tmp_path, "--no-write", "--store", str(store))
-        assert rc == 0
+        assert main([*QUICK, "--store", str(store)]) == 0
         assert TraceReader(store).total_records == 2 * n_first
 
         # The collected log is fit-ready once sorted.

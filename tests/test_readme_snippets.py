@@ -50,7 +50,7 @@ def test_readme_snippet_runs(idx):
 def test_readme_documents_figure_and_serve_commands():
     text = README.read_text()
     assert "repro figure" in text
-    assert "repro serve" in text
+    assert "repro loadgen" in text
 
 
 def test_readme_quickstart_cli_lines_point_at_real_modules():

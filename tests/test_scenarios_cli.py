@@ -167,16 +167,12 @@ class TestFigureSubcommand:
 
 
 class TestServeSubcommand:
-    def test_serve_fixed_policy(self, capsys):
-        rc = main(
-            ["serve", "--backend", "synthetic", "--policy", "singler",
-             "--delay", "40", "--prob", "0.5", "--requests", "80",
-             "--time-scale", "1e-6", "--report-every", "80"]
-        )
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "== final ==" in out
-        assert "requests completed" in out
+    def test_serve_is_an_invalid_choice(self, capsys):
+        # `repro loadgen` is the one live-traffic command.
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--requests", "80"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err
 
 
 class TestNoDeprecationWarnings:

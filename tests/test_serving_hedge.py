@@ -332,8 +332,8 @@ class TestServe:
     def test_serve_returns_outcomes_in_order(self):
         be = FixedBackend(primary_ms=2.0, reissue_ms=1.0)
         client = HedgedClient(be, NoReissue(), rng=1)
-        outs = run(client.serve(8, start_id=100))
-        assert [o.query_id for o in outs] == list(range(100, 108))
+        outs = run(client.serve(8))
+        assert [o.query_id for o in outs] == list(range(8))
 
     def test_poisson_arrivals(self):
         be = FixedBackend(primary_ms=2.0, reissue_ms=1.0, time_scale=1e-5)
