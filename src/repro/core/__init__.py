@@ -17,7 +17,7 @@ from .optimizer import (
     fit_singled_policy,
     singler_success_rate,
 )
-from .correlated import ConditionalReissueCdf, compute_optimal_singler_correlated
+from .correlated import compute_optimal_singler_correlated
 from .analytic import (
     AnalyticFit,
     optimal_doubler,
@@ -60,7 +60,6 @@ __all__ = [
     "fit_singled_policy",
     "singler_success_rate",
     "discrete_cdf",
-    "ConditionalReissueCdf",
     "compute_optimal_singler_correlated",
     "AnalyticFit",
     "optimal_singler",

@@ -26,7 +26,10 @@ the figures and ``AutoTuner`` make (N = 2 000-8 000, up to 4 400 pairs),
 k = 100 000 (200 000 pairs, P50), and slower only beyond that
 (k = 500 000: 49 s against 13 s) — larger than any pair log a caller
 here builds.
-:class:`ConditionalReissueCdf` remains the random-access estimator.
+
+The random-access estimator of the conditional CDF that the paper's
+structure answers lives with the tests, as the oracle this fitter is
+checked against (``tests/oracles/``).
 """
 
 from __future__ import annotations
@@ -35,27 +38,7 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from ..structures.range2d import MergeSortTree
 from .optimizer import SingleRFit, discrete_cdf, quantile_higher_sorted
-
-
-class ConditionalReissueCdf:
-    """Estimator of ``Pr(Y < y | X > t)`` from paired samples.
-
-    Both inequalities are strict, as in the paper's ``DiscreteCDF``: a
-    pair with ``Y == y`` or ``X == t`` is not counted. Random access in
-    O(log^2 N) on a merge-sort tree; the fitter below has a monotone
-    access pattern and keeps its own incremental counts instead.
-    """
-
-    def __init__(self, pair_x, pair_y):
-        self._tree = MergeSortTree(pair_x, pair_y)
-
-    def __call__(self, t: float, y: float) -> float:
-        above = self._tree.count_x_above(t)
-        if above == 0:
-            return 0.0
-        return self._tree.count_dominance(t, y) / above
 
 
 def compute_optimal_singler_correlated(

@@ -257,6 +257,12 @@ def fit_singler_protocol(
     drivers use): run the adaptive loop, keep the trial with the best
     *measured* tail among trials honouring 1.5x the budget, then probe
     the SingleD ``(d', q=1)`` corner the chain may not have reached.
+
+    The corner's delay is read off the best trial's run, which is under
+    a different load; when that overspends past the gate, the delay is
+    re-read once from the corner run's own primaries (the update of
+    :func:`repro.core.adaptive.adapt_singled` at learning rate 1) and
+    probed again.
     """
     from ..core.adaptive import AdaptiveSingleROptimizer
 
@@ -272,6 +278,10 @@ def fit_singler_protocol(
     rx = np.sort(system.run(best.policy, rng).primary_response_times)
     corner = _corner_policy(rx, budget)
     corner_run = system.run(corner, rng)
+    if corner_run.reissue_rate > 1.5 * budget:
+        rx = np.sort(corner_run.primary_response_times)
+        corner = _corner_policy(rx, budget)
+        corner_run = system.run(corner, rng)
     if (
         corner_run.reissue_rate <= 1.5 * budget
         and corner_run.tail(percentile) < best.actual_tail

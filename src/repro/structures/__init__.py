@@ -1,9 +1,7 @@
-"""Data structures: range queries, sketches."""
+"""Data structures: streaming quantile sketches."""
 
-from .range2d import MergeSortTree
 from .tdigest import TDigest
 
 __all__ = [
-    "MergeSortTree",
     "TDigest",
 ]

@@ -1,9 +1,14 @@
 """Shared fixtures for the test suite."""
 
+import functools
 import signal
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+
+from repro.experiments import ExperimentResult, run_experiment
 
 
 @pytest.fixture(autouse=True)
@@ -33,3 +38,28 @@ def rng_factory():
         return np.random.default_rng(seed)
 
     return make
+
+
+class FigureRun(NamedTuple):
+    """One figure's serial quick-scale run and the result cache it filled."""
+
+    result: ExperimentResult
+    cache_dir: Path
+
+
+@pytest.fixture(scope="session")
+def figure_runs(tmp_path_factory):
+    """``figure_runs(eid)``: the figure's serial run at ``quick`` scale,
+    seed 42, simulated on first use and shared by the whole session.
+
+    This is the only figure simulation in the suite: the golden digests,
+    the result contract and the paper's claims all read these rows.
+    """
+
+    @functools.cache
+    def run(eid: str) -> FigureRun:
+        cache = tmp_path_factory.mktemp(f"cache_{eid}")
+        result = run_experiment(eid, scale="quick", seed=42, cache_dir=cache)
+        return FigureRun(result, cache)
+
+    return run

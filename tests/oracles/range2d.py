@@ -1,11 +1,12 @@
-"""Static 2-D orthogonal range counting.
+"""Static 2-D orthogonal range counting (test oracle).
 
 Section 4.2 estimates the conditional CDF ``Pr(Y < t - d | X > t)`` from a
 log of (primary, reissue) response-time pairs using an orthogonal range
-query structure. We provide a merge-sort-tree implementation: O(N log N)
-construction, O(log^2 N) per arbitrary query. (The fitter in
+query structure. This is a merge-sort-tree implementation: O(N log N)
+construction, O(log^2 N) per arbitrary query. The fitter in
 :mod:`repro.core.correlated` queries monotonically and keeps incremental
-counts instead; this tree is the random-access estimator.)
+counts instead, so the tree is only the random-access estimator its tests
+check it against (:mod:`oracles.correlated`).
 """
 
 from __future__ import annotations

@@ -5,10 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.correlated import (
-    ConditionalReissueCdf,
-    compute_optimal_singler_correlated,
-)
+from oracles.correlated import ConditionalReissueCdf
+from repro.core.correlated import compute_optimal_singler_correlated
 from repro.core.optimizer import (
     SingleRFit,
     compute_optimal_singler,

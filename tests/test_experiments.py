@@ -1,7 +1,9 @@
-"""Smoke + contract tests for the figure drivers and CLI.
+"""Contract tests for the figure drivers and CLI.
 
-Drivers run at a reduced custom scale so the whole file stays fast; the
-full-fidelity sweeps live in benchmarks/.
+The drivers' results are the session's shared quick-scale runs
+(``figure_runs`` in ``conftest.py``), so this file simulates no figure
+of its own; the paper's quantitative claims on the same rows are in
+``test_paper_claims.py``.
 """
 
 import numpy as np
@@ -41,9 +43,9 @@ class TestRegistry:
 class TestResultContract:
     """Each driver returns well-formed rows, csv, chart, and notes."""
 
-    @pytest.fixture(scope="class", params=sorted(EXPERIMENTS))
-    def result(self, request):
-        return run_experiment(request.param, scale=TINY, seed=1)
+    @pytest.fixture(params=sorted(EXPERIMENTS))
+    def result(self, request, figure_runs):
+        return figure_runs(request.param).result
 
     def test_type_and_id(self, result):
         assert isinstance(result, ExperimentResult)
@@ -69,33 +71,33 @@ class TestResultContract:
 
 
 class TestFigureSpecifics:
-    def test_fig9_moments_close_to_paper(self):
-        res = run_experiment("fig9", scale=TINY, seed=1)
+    def test_fig9_moments_close_to_paper(self, figure_runs):
+        res = figure_runs("fig9").result
         vals = {(r[0], r[1]): r[2] for r in res.rows}
         assert vals[("redis", "mean_ms")] == pytest.approx(2.37, abs=1.0)
         assert vals[("lucene", "mean_ms")] == pytest.approx(39.7, abs=4.0)
         assert vals[("lucene", "std_ms")] == pytest.approx(22, abs=8)
 
-    def test_fig4_correlation_dampened_by_queueing(self):
-        res = run_experiment("fig4", scale=TINY, seed=1)
+    def test_fig4_correlation_dampened_by_queueing(self, figure_runs):
+        res = figure_runs("fig4").result
         assert res.meta["corr_queueing"] < res.meta["corr_correlated"]
 
-    def test_fig3_rows_cover_all_workloads_and_policies(self):
-        res = run_experiment("fig3", scale=TINY, seed=1)
+    def test_fig3_rows_cover_all_workloads_and_policies(self, figure_runs):
+        res = figure_runs("fig3").result
         workloads = {r[0] for r in res.rows}
         policies = {r[2] for r in res.rows}
         assert workloads == {"independent", "correlated", "queueing"}
         assert policies == {"SingleR", "SingleD"}
 
-    def test_fig3_budget_column_respected(self):
-        res = run_experiment("fig3", scale=TINY, seed=1)
+    def test_fig3_budget_column_respected(self, figure_runs):
+        res = figure_runs("fig3").result
         for r in res.rows:
             if r[2] == "SingleR" and r[0] != "queueing":
                 budget, q, outstanding = r[1], r[4], r[5]
                 assert q * outstanding <= budget * 1.2 + 0.01
 
-    def test_fig8_best_budget_positive(self):
-        res = run_experiment("fig8", scale=TINY, seed=1)
+    def test_fig8_best_budget_positive(self, figure_runs):
+        res = figure_runs("fig8").result
         assert 0.0 <= res.meta["best_budget"] <= 0.5
         trials = [r[0] for r in res.rows]
         assert trials == sorted(trials)

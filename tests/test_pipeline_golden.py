@@ -3,9 +3,10 @@
 The pipeline refactor's contract, enforced here across fig2–fig9 at
 ``quick`` scale:
 
-* **Golden**: every figure's ``rows`` are bit-for-bit identical to the
-  pre-refactor serial drivers (digests committed in
-  ``tests/goldens/experiment_rows_quick.json``). Beside each digest the
+* **Golden**: every figure's serial ``rows`` (the session's shared run,
+  ``figure_runs`` in ``conftest.py``) are bit-for-bit the committed ones
+  (digests in ``tests/goldens/experiment_rows_quick.json``; a protocol
+  fix re-records its figures deliberately). Beside each digest the
   file keeps every row's short digest and canonical values, so a
   mismatch names the first row and cell that moved and how far, in ulps —
   the diagnosis a drifting numpy/scipy needs.
@@ -45,11 +46,11 @@ EXPECTED_DEDUPE = {
 
 
 @pytest.fixture(scope="module", params=FIGURES)
-def figure_runs(request, tmp_path_factory):
-    """Serial (cold cache), parallel, and cache-replay runs of one figure."""
+def replays(request, figure_runs):
+    """One figure's serial run (the session's shared cold-cache run), a
+    process-parallel run, and a replay from the serial run's cache."""
     eid = request.param
-    cache = tmp_path_factory.mktemp(f"cache_{eid}")
-    serial = run_experiment(eid, scale="quick", seed=42, cache_dir=cache)
+    serial, cache = figure_runs(eid)
     parallel = run_experiment(eid, scale="quick", seed=42, workers=2)
     cached = run_experiment(eid, scale="quick", seed=42, cache_dir=cache)
     return eid, serial, parallel, cached
@@ -84,8 +85,9 @@ def first_difference(eid: str, rows) -> str:
     return f"golden has {len(golden['rows'])} rows, got {len(rows)}"
 
 
-def test_serial_rows_match_pre_refactor_golden(figure_runs):
-    eid, serial, _, _ = figure_runs
+@pytest.mark.parametrize("eid", FIGURES)
+def test_serial_rows_match_pre_refactor_golden(eid, figure_runs):
+    serial = figure_runs(eid).result
     golden = GOLDENS["figures"][eid]
     assert serial.headers == golden["headers"]
     if rows_digest(serial.rows) != golden["digest"]:
@@ -130,16 +132,16 @@ def test_mismatch_names_first_differing_cell():
     assert message.endswith("(1 ulp apart)")
 
 
-def test_parallel_equals_serial(figure_runs):
-    eid, serial, parallel, _ = figure_runs
+def test_parallel_equals_serial(replays):
+    eid, serial, parallel, _ = replays
     assert parallel.rows == serial.rows, f"{eid}: parallel != serial"
     assert rows_digest(parallel.rows) == rows_digest(serial.rows)
     assert parallel.chart == serial.chart
     assert parallel.notes == serial.notes
 
 
-def test_cached_replay_equals_serial(figure_runs):
-    eid, serial, _, cached = figure_runs
+def test_cached_replay_equals_serial(replays):
+    eid, serial, _, cached = replays
     assert cached.rows == serial.rows, f"{eid}: cache replay != serial"
     meta = cached.meta["pipeline"]
     assert meta["cache_hits"] == meta["cells_unique"], (
@@ -148,8 +150,9 @@ def test_cached_replay_equals_serial(figure_runs):
     assert meta["jobs"] == 0
 
 
-def test_dedupe_counts(figure_runs):
-    eid, serial, _, _ = figure_runs
+@pytest.mark.parametrize("eid", FIGURES)
+def test_dedupe_counts(eid, figure_runs):
+    serial = figure_runs(eid).result
     meta = serial.meta["pipeline"]
     expected_merged, expected_eval_merged = EXPECTED_DEDUPE[eid]
     assert meta["cells_merged"] == expected_merged, eid

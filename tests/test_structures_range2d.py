@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.structures import MergeSortTree
+from oracles.range2d import MergeSortTree
 
 pts = st.lists(
     st.tuples(
