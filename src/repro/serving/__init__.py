@@ -26,8 +26,10 @@ pluggable asynchronous backends:
 * :mod:`~repro.serving.procfleet` — the socket shard
   (:class:`WorkerHandle`: a worker *process* with its own event loop
   behind JSON frames on a Unix/TCP socket), the cross-process
-  :class:`PolicyStoreServer` / :class:`RemotePolicyStore`, and
-  :class:`ProcessFleet`, which spawns the workers for that front door.
+  :class:`PolicyStoreServer` / :class:`RemotePolicyStore` (each request
+  frame carries the store version, so a worker calls the store only
+  after a publish), and :class:`ProcessFleet`, which spawns the workers
+  for that front door.
 * :mod:`~repro.serving.loadgen` — closed- vs open-loop
   :class:`LoadGenerator` driving a fleet at a target RPS, plus the
   loadgen record schema.

@@ -21,7 +21,10 @@ paid over a real transport instead of an in-process call.
   fleet-shared :class:`~repro.serving.fleet.PolicyStore` behind a
   socket: the front-door process owns the versioned store, each worker
   reads it through a cached drop-in client, and one worker's refit
-  still propagates fleet-wide with the same monotone versions.
+  still propagates fleet-wide with the same monotone versions. The
+  store is off the request path: each ``REQUEST`` frame carries the
+  front door's store version, and a worker makes a store round trip
+  only when that version is newer than its cache.
 * :class:`ProcessFleet` — spawns the workers and the store server and
   hands the handles to ``ServingFleet``; ``close()`` reaps them.
 
@@ -79,7 +82,7 @@ SPAWN_TIMEOUT_S = 60.0
 _LEN = struct.Struct("!I")
 
 # -- message types -----------------------------------------------------------
-MSG_REQUEST = 0x01  # parent -> worker: {"seq", "qid"}
+MSG_REQUEST = 0x01  # parent -> worker: {"seq", "qid", "v" (store version)}
 MSG_RESPONSE = 0x02  # worker -> parent: {"seq", "qid", outcome fields}
 MSG_SHED = 0x03  # worker -> parent: {"seq", "qid"} (admission shed)
 MSG_ERROR = 0x04  # worker -> parent: {"seq", "qid", "error"}
@@ -288,14 +291,18 @@ class PolicyStoreServer:
 class RemotePolicyStore:
     """Worker-side :class:`PolicyStore` replacement over a socket.
 
-    ``get()`` returns a locally cached ``(version, policy)`` snapshot
-    and refreshes it from the server every ``poll_every`` calls — the
-    per-request policy sync the :class:`ShardWorker` does stays O(1)
-    with a bounded staleness of ``poll_every`` requests, which is the
-    same order as the in-loop fleet's "adopt before the next request".
-    ``publish()`` is a synchronous round trip (refits are rare) and
-    updates the cache immediately, so a tuned worker always serves the
-    version it just published.
+    ``get()`` returns a locally cached ``(version, policy)`` snapshot and
+    makes no round trip of its own accord. The front door stamps its
+    store version on every ``REQUEST`` frame and the worker passes it to
+    :meth:`announce`; ``get()`` refreshes once when an announced version
+    is newer than any it has fetched or tried. So a shard adopts a
+    publish at its first request after that publish returned — the
+    in-loop fleet's rule — and an unchanged store costs no RPC. A failed
+    refresh (the store server is gone) serves the cached policy and is
+    retried only when a newer version is announced. ``publish()`` is a
+    synchronous round trip (refits are rare) and updates the cache
+    immediately, so a tuned worker always serves the version it just
+    published.
     """
 
     def __init__(
@@ -303,20 +310,17 @@ class RemotePolicyStore:
         address,
         *,
         transport: str = "unix",
-        poll_every: int = 8,
         timeout: float = 10.0,
     ):
-        if poll_every < 1:
-            raise ValueError("poll_every must be >= 1")
         self.transport = transport
         self.address = address
-        self.poll_every = int(poll_every)
         self.timeout = float(timeout)
         self._lock = threading.Lock()
         self._sock: socket.socket | None = None
-        self._calls = 0
         self.version = 0
         self.policy: ReissuePolicy | None = None
+        self._announced = 0  # newest version the front door announced
+        self._tried = 0  # newest version fetched or asked for
         self.refresh()  # fail fast if the server is unreachable
 
     def _rpc(self, msg_type: int, body: dict) -> dict:
@@ -350,20 +354,27 @@ class RemotePolicyStore:
                 None if spec is None else ReissuePolicy.from_spec(spec)
             )
             self.version = version
+        self._tried = max(self._tried, version)
 
     def refresh(self) -> tuple[int, ReissuePolicy | None]:
         """Force a round trip to the server; returns the fresh snapshot."""
         self._adopt(self._rpc(MSG_STORE_GET, {}))
         return self.version, self.policy
 
+    def announce(self, version: int) -> None:
+        """Note the front door's store version, as a ``REQUEST`` carried it."""
+        if version > self._announced:
+            self._announced = version
+
     def get(self) -> tuple[int, ReissuePolicy | None]:
-        """The cached ``(version, policy)``, refreshed every few calls."""
-        self._calls += 1
-        if self.version == 0 or self._calls % self.poll_every == 0:
+        """The cached ``(version, policy)``, refreshed first if a newer
+        version was announced since the last fetch or attempt."""
+        if self._announced > self._tried:
+            self._tried = self._announced
             try:
                 self.refresh()
             except (ConnectionError, OSError):
-                pass  # serve the cached policy; next poll retries
+                pass  # serve the cached policy; a newer version retries
         return self.version, self.policy
 
     def publish(self, policy: ReissuePolicy, source: str = "") -> int:
@@ -426,9 +437,7 @@ async def _worker_serve(spec: dict) -> None:
             rng=np.random.default_rng(client_seq),
         )
         store = RemotePolicyStore(
-            spec["store_address"],
-            transport=spec["transport"],
-            poll_every=spec["poll_every"],
+            spec["store_address"], transport=spec["transport"]
         )
         shard = ShardWorker(shard_id, client, store, spec["admission_limit"])
     except Exception as exc:  # noqa: BLE001 - reported to the parent
@@ -484,6 +493,7 @@ async def _worker_serve(spec: dict) -> None:
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 if msg_type == MSG_REQUEST:
+                    store.announce(body.get("v", 0))
                     task = asyncio.ensure_future(
                         serve_request(body["seq"], body["qid"])
                     )
@@ -564,8 +574,9 @@ class WorkerHandle:
     not death), or when the worker stops answering control RPCs.
     """
 
-    def __init__(self, spec: dict, ctx):
+    def __init__(self, spec: dict, ctx, store: PolicyStore):
         self.spec = spec
+        self.store = store
         self.shard_id = int(spec["shard_id"])
         self.time_scale = float(spec["time_scale"])
         self.process = ctx.Process(
@@ -697,7 +708,8 @@ class WorkerHandle:
             future = asyncio.get_running_loop().create_future()
             self._pending[seq] = future
             frame = encode_frame(
-                MSG_REQUEST, {"seq": seq, "qid": int(query_id)}
+                MSG_REQUEST,
+                {"seq": seq, "qid": int(query_id), "v": self.store.version},
             )
             async with self._wlock:
                 writer.write(frame)
@@ -777,10 +789,13 @@ class ProcessFleet(ServingFleet):
     reroutes new arrivals instead of taking the fleet down.
 
     Parameters mirror ``ServingFleet.build`` plus the process-fleet
-    knobs: ``transport`` (``"unix"`` default, ``"tcp"``), ``autotune``
-    (an :class:`AutoTuner` kwargs dict for the tuned shard — the tuner
-    itself must be built in the worker process), and ``poll_every``
-    (worker policy-cache refresh stride).
+    knobs: ``transport`` (``"unix"`` default, ``"tcp"``) and
+    ``autotune`` (an :class:`AutoTuner` kwargs dict for the tuned shard
+    — the tuner itself must be built in the worker process).
+
+    A publish to ``store`` — by the caller or by the tuned worker's
+    refit — is adopted by each worker at its first request after the
+    publish returned, as in the in-loop fleet.
     """
 
     def __init__(
@@ -798,7 +813,6 @@ class ProcessFleet(ServingFleet):
         tuned_shard: int = 0,
         time_scale: float = 2e-5,
         transport: str = "unix",
-        poll_every: int = 8,
         seed: int = 0,
     ):
         if n_procs < 1:
@@ -828,7 +842,6 @@ class ProcessFleet(ServingFleet):
                 "time_scale": float(time_scale),
                 "transport": transport,
                 "store_address": store_server.address,
-                "poll_every": int(poll_every),
                 "seed": int(seed),
                 "trace_ctx": snapshot_context(),
             }
@@ -848,6 +861,7 @@ class ProcessFleet(ServingFleet):
                             ),
                         },
                         ctx,
+                        store_server.store,
                     )
                     for i in range(n_procs)
                 ],

@@ -12,9 +12,11 @@ per worker, so the non-destructive tests share one fleet per kind.
 """
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 import os
+import socket
 import threading
 import zlib
 
@@ -32,7 +34,14 @@ from repro.serving.loadgen import (
     as_record,
     validate_record,
 )
-from repro.serving.procfleet import ProcessFleet
+from repro.serving.procfleet import (
+    MSG_REQUEST,
+    MSG_RESPONSE,
+    ProcessFleet,
+    _connect_blocking,
+    encode_frame,
+    recv_frame_blocking,
+)
 
 KINDS = ("loop", "unix", "tcp")
 SOCKET_KINDS = KINDS[1:]
@@ -204,11 +213,25 @@ def test_stats_entries_share_one_key_set(fleet, kind):
         assert len(pids) == 2 and os.getpid() not in pids
 
 
+def test_a_request_frame_without_v_announces_nothing(fleet, kind):
+    if kind == "loop":
+        pytest.skip("an in-loop shard reads the store, it gets no frames")
+    worker = fleet.shards[0]
+    cached = worker.detail()["store_version"]
+    fleet.store.publish(SingleR(44.0, 0.2), source="unannounced")
+    with _connect_blocking(kind, worker.address, 10.0) as sock:
+        sock.sendall(encode_frame(MSG_REQUEST, {"seq": 1, "qid": 4_000}))
+        assert recv_frame_blocking(sock)[0] == MSG_RESPONSE
+    assert worker.detail()["store_version"] == cached
+
+
 def test_store_publish_is_adopted_by_every_shard(fleet):
     policy = SingleR(33.0, 0.25)
     version = fleet.store.publish(policy, source="contract")
-    # A worker process refreshes its cached policy every few requests.
-    drive(fleet, range(3_000, 3_040))
+    # Every shard adopts a publish at its first request after it.
+    before = issued(fleet)
+    drive(fleet, range(3_000, 3_002))
+    assert [a - b for a, b in zip(issued(fleet), before)] == [1, 1]
     stats = fleet.stats()
     assert stats["policy_version"] == version
     for entry in stats["per_shard"]:
@@ -336,3 +359,72 @@ def test_store_server_lost_mid_run(kind):
         assert_counters_add_up(fleet)
         assert all(shard.alive for shard in fleet.shards)
         assert_valid_record(result)
+
+
+@contextlib.contextmanager
+def refusing_listener(path):
+    """Listen at a lost store server's Unix path, accepting every
+    connection and closing it unanswered; yields the accept count."""
+    listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    listener.bind(path)
+    listener.listen(8)
+    accepted = []
+
+    def serve():
+        while True:
+            try:
+                conn, _ = listener.accept()
+            except OSError:
+                return  # listener closed
+            accepted.append(conn)  # counted before the worker sees EOF
+            conn.close()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield lambda: len(accepted)
+    finally:
+        with contextlib.suppress(OSError):
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept()
+        listener.close()
+        thread.join(5.0)
+
+
+def test_publish_after_the_store_server_is_lost():
+    # Each publish the workers cannot fetch costs each of them one
+    # failed refresh at its next request, not one per request, and they
+    # keep serving the policy they cached. (Unix only: the lost server's
+    # half-closed TCP connections keep its port from being listened on.)
+    with make_fleet("unix") as fleet:
+        cached = [entry["policy_spec"] for entry in fleet.stats()["per_shard"]]
+        generator = LoadGenerator(fleet, rng=17)
+        bounded(lambda: generator.run(100, mode="closed", concurrency=4))
+        fleet.store_server.close()
+        with refusing_listener(fleet.store_server.address) as attempts:
+            for n_publishes in (1, 2):
+                fleet.store.publish(SingleR(40.0 + n_publishes, 0.1), source="lost")
+                bounded(lambda: generator.run(200, mode="closed", concurrency=4))
+                assert attempts() == 2 * n_publishes  # one per worker
+        stats = assert_counters_add_up(fleet)
+        for entry, spec in zip(stats["per_shard"], cached):
+            assert entry["alive"] and entry["errors"] == 0
+            assert entry["store_version"] == 1
+            assert entry["policy_spec"] == spec
+
+
+def test_a_fleet_with_no_policy_makes_no_store_round_trip(monkeypatch):
+    # The store stays at version 0, which every request frame announces:
+    # no worker has a reason to ask the store server anything.
+    scenario = coerce_scenario("fleet-tail-quick").check()
+    with ProcessFleet(2, scenario, time_scale=0.0, seed=7) as fleet:
+        gets, store_get = [], fleet.store.get
+
+        def counted_get():  # the store server's STORE_GET handler calls it
+            gets.append(1)
+            return store_get()
+
+        monkeypatch.setattr(fleet.store, "get", counted_get)
+        outcomes = bounded(lambda: drive(fleet, range(200)))
+        assert all(outcome is not None for outcome in outcomes)
+        assert fleet.store.version == 0
+        assert gets == []

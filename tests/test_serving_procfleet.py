@@ -180,22 +180,35 @@ class TestHostileBytes:
 # ---------------------------------------------------------------------------
 
 
+def count_calls(obj, name: str) -> list:
+    """Wrap ``obj.name`` so each call appends to the returned list."""
+    calls, inner = [], getattr(obj, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    setattr(obj, name, counted)
+    return calls
+
+
 class TestRemotePolicyStore:
     def test_publish_propagates_between_clients(self, tmp_path):
         server = PolicyStoreServer(
             PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
         )
         try:
-            a = RemotePolicyStore(server.address, poll_every=1)
-            b = RemotePolicyStore(server.address, poll_every=1)
+            a = RemotePolicyStore(server.address)
+            b = RemotePolicyStore(server.address)
             # Both see the seed publish (version 1).
             assert a.get() == (1, SingleR(10.0, 0.5))
             assert b.get() == (1, SingleR(10.0, 0.5))
             # A publish from one client reaches the other at v2, with
             # the same monotone-version + provenance semantics as the
-            # in-process store.
+            # in-process store, once the new version is announced.
             assert a.publish(SingleR(25.0, 0.3), source="clientA") == 2
             assert a.version == 2  # publisher's cache updates in place
+            b.announce(2)
             assert b.get() == (2, SingleR(25.0, 0.3))
             assert server.store.publishes == [(1, "init"), (2, "clientA")]
             a.close()
@@ -203,21 +216,57 @@ class TestRemotePolicyStore:
         finally:
             server.close()
 
-    def test_get_serves_cache_between_polls(self, tmp_path):
+    def test_an_unchanged_version_makes_no_round_trip(self, tmp_path):
         server = PolicyStoreServer(
             PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
         )
         try:
-            client = RemotePolicyStore(server.address, poll_every=1000)
-            assert client.get()[0] == 1
-            server.store.publish(SingleR(99.0, 0.1), source="direct")
-            # Bounded staleness: inside the poll stride the cached
-            # snapshot is served; an explicit refresh sees the publish.
-            assert client.get()[0] == 1
-            assert client.refresh() == (2, SingleR(99.0, 0.1))
+            client = RemotePolicyStore(server.address)
+            gets = count_calls(server.store, "get")  # one per STORE_GET
+            for _ in range(10_000):
+                client.announce(1)
+                assert client.get() == (1, SingleR(10.0, 0.5))
+            assert gets == []
             client.close()
         finally:
             server.close()
+
+    def test_a_newer_version_refreshes_once_and_is_adopted(self, tmp_path):
+        server = PolicyStoreServer(
+            PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
+        )
+        try:
+            client = RemotePolicyStore(server.address)
+            server.store.publish(SingleR(99.0, 0.1), source="direct")
+            gets = count_calls(server.store, "get")
+            # Nothing announced yet: the cache is served, no round trip.
+            assert client.get() == (1, SingleR(10.0, 0.5))
+            client.announce(2)
+            for _ in range(100):
+                assert client.get() == (2, SingleR(99.0, 0.1))
+            client.announce(1)  # an older announcement changes nothing
+            assert client.get() == (2, SingleR(99.0, 0.1))
+            assert len(gets) == 1
+            client.close()
+        finally:
+            server.close()
+
+    def test_a_failed_refresh_waits_for_a_newer_version(self, tmp_path):
+        server = PolicyStoreServer(
+            PolicyStore(SingleR(10.0, 0.5)), runtime_dir=str(tmp_path)
+        )
+        client = RemotePolicyStore(server.address)
+        server.close()
+        server.store.publish(SingleR(99.0, 0.1), source="direct")
+        rpcs = count_calls(client, "_rpc")
+        client.announce(2)
+        for _ in range(1_000):  # the cached policy, one failed attempt
+            assert client.get() == (1, SingleR(10.0, 0.5))
+        assert len(rpcs) == 1
+        client.announce(3)
+        assert client.get() == (1, SingleR(10.0, 0.5))
+        assert len(rpcs) == 2
+        client.close()
 
     def test_tcp_transport(self):
         server = PolicyStoreServer(PolicyStore(), transport="tcp")
