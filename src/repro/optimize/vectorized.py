@@ -17,11 +17,21 @@ the candidate delays and **returns bit-for-bit the same**
   non-decreasing in ``t`` for a fixed ``d``). The only state carried
   across chunks is one integer, the running minimum of the landing
   points, and the sweep stops at the chunk where the scalar loop would;
+* each binary search starts on a bracket (:func:`_bracket`) instead of
+  all ``n`` t-indices. Below: the success rate is at most
+  ``fx + q * (1 - fx)``, so no index under ``floor(thr * n) - 1`` with
+  ``thr = (p - q) / (1 - q)`` can be feasible, nor does any index under
+  the candidate's first sample ``>= d`` matter. Above: the first index
+  with ``Pr(X < t) >= p`` is feasible for every ``d``. For the 99th
+  percentile that is a band of a few percent of ``n`` just below the
+  tail: 7 rounds instead of 11 on a 2 000-sample window;
 * the trajectory is then **verified**: the exact probe sequence the
   scalar loop would make is replayed in bounded broadcast batches. If
   float rounding ever produced a non-monotone feasibility pattern that
-  fools the binary search, the verification fails and the scalar sweep
-  runs instead — equality is guaranteed, not assumed;
+  fools the binary search, or a bracket missed a landing point, the
+  verification fails, ``optimize.sweep.fallbacks`` ticks in the
+  :mod:`repro.obs` registry and the scalar sweep runs instead —
+  equality is guaranteed, not assumed;
 * the SingleD sweep needs no fallback: its single descent is emulated
   exactly by locating the highest infeasible probe at or above the
   Eq.-2 delay.
@@ -52,6 +62,7 @@ from ..core.optimizer import (
     quantile_higher_sorted,
     singler_success_rate,
 )
+from ..obs.metrics import get_metrics
 
 DEFAULT_CHUNK = 131_072
 _REPLAY_BATCH = 262_144
@@ -106,7 +117,8 @@ def compute_optimal_singler_chunked(
 
     chunk = max(int(chunk), 1)
     picked = _sweep_trajectory(rx, ry, percentile, budget, chunk, release)
-    if picked is None:  # pathological float non-monotonicity: exact path
+    if picked is None:  # the replay rejected the trajectory: exact path
+        get_metrics().counter("optimize.sweep.fallbacks").inc()
         return _singler_scalar(rx, ry, percentile, budget)
     d_star, t = picked
 
@@ -182,12 +194,12 @@ def _sweep_trajectory(rx, ry, percentile, budget, chunk, release):
             return alpha >= percentile
 
         # Per-candidate first feasible t-index, assuming alpha(t) monotone
-        # in t for fixed d (true in exact arithmetic; verified below).
+        # in t for fixed d (true in exact arithmetic; verified below),
+        # searched inside the bracket rather than over all n t-indices.
         all_idx = np.arange(csize)
         top = feasible(all_idx, np.full(csize, n - 1))
         jmin = np.full(csize, n, dtype=np.int64)  # sentinel: none feasible
-        lo = np.zeros(csize, dtype=np.int64)
-        hi = np.full(csize, n - 1, dtype=np.int64)
+        lo, hi = _bracket(rx, percentile, q, locc)
         active = top.copy()
         while np.any(active & (lo < hi)):
             sel = active & (lo < hi)
@@ -241,6 +253,36 @@ def _sweep_trajectory(rx, ry, percentile, budget, chunk, release):
         carry = int(lp[-1])
 
     return d_star, float(rx[j_final])
+
+
+def _bracket(rx, percentile, q, locc):
+    """``(lo, hi)``: per candidate, a t-index range holding its landing
+    point ``max(first feasible j, locc)``, with ``lo <= hi``.
+
+    ``lo`` is ``max(locc, floor(thr * n) - 1)`` with
+    ``thr = (p - q) / (1 - q)``: since ``fy <= 1``, the success rate is
+    at most ``fx + q * (1 - fx)``, which reaches ``p`` only where
+    ``fx >= thr``, and ``fx = Pr(X < rx[j]) <= j / n``; the ``- 1``
+    absorbs the rounding. A candidate with ``q >= 1`` (degenerate ones
+    included) gets ``locc``. ``hi`` is ``jp``, the first ``j`` with
+    ``Pr(X < rx[j]) >= p``: the success rate is at least ``fx`` there,
+    whatever ``d`` is, so ``jp`` is always feasible (``n - 1`` when no
+    such ``j`` exists). The probe replay still certifies every landing
+    point, so a wrong bracket costs a scalar fallback, never a wrong fit.
+    """
+    n = rx.size
+    # The smallest count k with k / n >= p (the same float division the
+    # fx lookup makes); then fx(j) >= p exactly where rx[j] > rx[k - 1].
+    k = min(max(int(np.ceil(percentile * n)), 1), n)
+    while k > 1 and (k - 1) / n >= percentile:
+        k -= 1
+    while k < n and k / n < percentile:
+        k += 1
+    jp = min(int(np.searchsorted(rx, rx[k - 1], side="right")), n - 1)
+    with np.errstate(divide="ignore"):
+        thr = np.where(q < 1.0, (percentile - q) / (1.0 - q), 0.0)
+    lo = np.maximum(locc, np.floor(thr * n).astype(np.int64) - 1)
+    return lo, np.maximum(lo, jp)
 
 
 def compute_optimal_singled_chunked(

@@ -35,7 +35,9 @@ Every message is one frame: a 4-byte big-endian payload length, then a
 :class:`ProtocolError`, which every read loop treats like a closed
 connection — a frame that is empty, longer than
 :data:`MAX_FRAME_BYTES`, of unknown type, or whose payload is not a
-JSON object. No sketch crosses a socket: the detail-pull and shutdown
+JSON object. A worker drops the connection the same way on a
+``REQUEST`` whose ``seq``, ``qid`` or ``v`` is missing or not an
+integer. No sketch crosses a socket: the detail-pull and shutdown
 replies carry only the worker's ``detail()`` dict and span dicts.
 
 Observability crosses the process boundary the same way the pipeline's
@@ -493,10 +495,16 @@ async def _worker_serve(spec: dict) -> None:
                 except (asyncio.IncompleteReadError, ConnectionError, OSError):
                     return
                 if msg_type == MSG_REQUEST:
-                    store.announce(body.get("v", 0))
-                    task = asyncio.ensure_future(
-                        serve_request(body["seq"], body["qid"])
-                    )
+                    seq, qid = body.get("seq"), body.get("qid")
+                    version = body.get("v", 0)
+                    if not (
+                        type(seq) is int
+                        and type(qid) is int
+                        and type(version) is int
+                    ):
+                        return  # a malformed REQUEST: drop the connection
+                    store.announce(version)
+                    task = asyncio.ensure_future(serve_request(seq, qid))
                     serving.add(task)
                     task.add_done_callback(serving.discard)
                 elif msg_type == MSG_DETAIL:

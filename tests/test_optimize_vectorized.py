@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 from repro.core.optimizer import (
     compute_optimal_singled,
     compute_optimal_singler,
+    singler_success_rate,
 )
-from repro.optimize import FitRequest, solve
+from repro.distributions import LogNormal, Pareto
+from repro.obs import metrics_scope
+from repro.optimize import FitRequest, solve, vectorized
 from repro.optimize.storefit import compute_optimal_singler_chunked
 from repro.optimize.vectorized import (
     compute_optimal_singled_vectorized,
@@ -138,8 +141,6 @@ class TestScalarFallback:
         every entry point — in-memory, chunked over a store's memmap, and
         ``solve`` on a store — must fall back to the scalar sweep (same
         result, slower) rather than guess."""
-        from repro.optimize import vectorized
-
         monkeypatch.setattr(
             vectorized, "_sweep_trajectory", lambda *a, **k: None
         )
@@ -164,3 +165,131 @@ class TestScalarFallback:
             assert solve(request, "empirical").fit == legacy
         finally:
             store.close()
+
+
+def fallbacks(registry) -> int:
+    counter = registry.get("optimize.sweep.fallbacks")
+    return 0 if counter is None else counter.value
+
+
+def store_memmap(path, sorted_samples):
+    """An open store holding ``sorted_samples`` and its memmap."""
+    with TraceWriter(path, sorted=True) as writer:
+        writer.append(sorted_samples)
+    store = EmpiricalStore(path)
+    assert isinstance(store.sorted_samples, np.memmap)
+    return store, store.sorted_samples
+
+
+def scalar_moves(rx, ry, percentile, budget):
+    """``(i, j)`` for every candidate delay ``rx[i]`` that moved the
+    scalar loop's t-index, ``j`` being where it landed."""
+    n = rx.size
+    i, j, moves = 0, n - 1, []
+    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
+    while i <= min(j, i_max):
+        d, j_before = rx[i], j
+        while j > 0 and rx[j - 1] >= d and singler_success_rate(
+            rx, ry, budget, rx[j - 1], d
+        ) >= percentile:
+            j -= 1
+        if j < j_before:
+            moves.append((i, j))
+        i += 1
+    return moves
+
+
+def tied_logs(seed: int, n: int, shape: str):
+    rng = np.random.default_rng(seed)
+    rx = rng.lognormal(1.0, 1.0, n)
+    if shape == "rounded":
+        rx = np.round(rx)
+    elif shape == "top-tied":  # Pr(X < max) can fall below p
+        rx[rx > np.quantile(rx, 0.7)] = rx.max()
+    return np.sort(rx)
+
+
+class TestBracket:
+    """The binary search starts each candidate on ``_bracket``'s range,
+    and the probe replay certifies what it finds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        shape=st.sampled_from(["continuous", "rounded", "top-tied"]),
+        k=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+        budget=st.sampled_from([0.001, 0.05, 0.5, 0.9, 1.0]),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_bracket_claims_hold_probe_for_probe(self, n, shape, k, budget, seed):
+        """Nothing in ``[locc, lo)`` is feasible, and ``hi`` is feasible
+        unless it is the last index or equals ``lo``."""
+        rx = tied_logs(seed, n, shape)
+        m = min(max(int(np.ceil(n * (1.0 - budget))) - 1, 0), n - 1) + 1
+        locc = np.searchsorted(rx, rx[:m], side="left")
+        q = np.minimum(1.0, budget / (1.0 - locc / n))
+        lo, hi = vectorized._bracket(rx, k, q, locc)
+        assert np.all((locc <= lo) & (lo <= hi) & (hi <= n - 1))
+        for i in range(m):
+            d = rx[i]
+            for j in range(locc[i], lo[i]):
+                assert singler_success_rate(rx, rx, budget, rx[j], d) < k
+            if lo[i] < hi[i] < n - 1:
+                assert singler_success_rate(rx, rx, budget, rx[hi[i]], d) >= k
+
+    def test_no_fallback_on_bench_shaped_inputs(self, tmp_path):
+        """A bracket that is right but always rejected would pass every
+        equality test and still run the scalar loop."""
+        rng = np.random.default_rng(11)
+        service = LogNormal(3.0, 0.8)
+        with metrics_scope() as registry:
+            for _ in range(256):
+                window = service.sample(2_000, rng)
+                solve(FitRequest(0.99, 0.05, rx=window), "empirical")
+            log = np.sort(Pareto(1.1, 2.0).sample(200_000, rng))
+            resident = compute_optimal_singler_vectorized(log, log, 0.99, 0.05)
+            store, mapped = store_memmap(tmp_path / "log.store", log)
+            try:
+                backed = compute_optimal_singler_chunked(
+                    mapped, mapped, 0.99, 0.05, release=store.release
+                )
+            finally:
+                store.close()
+        assert backed == resident
+        assert fallbacks(registry) == 0
+
+    @pytest.mark.parametrize("source", ["resident", "memmap"])
+    def test_replay_rejects_a_bracket_past_the_landing_point(
+        self, monkeypatch, tmp_path, source
+    ):
+        """A lower bound one past a record candidate's true landing point
+        is caught by the replay: the sweep falls back to the scalar loop
+        once and still returns the oracle's fit."""
+        rx = np.sort(LogNormal(3.0, 0.8).sample(2_000, np.random.default_rng(4)))
+        k, budget = 0.99, 0.05
+        oracle = compute_optimal_singler(rx, rx, k, budget)
+        i_star, landed = scalar_moves(rx, rx, k, budget)[-1]
+        real = vectorized._bracket
+
+        def past_the_landing_point(rx_, percentile, q, locc):
+            lo, hi = real(rx_, percentile, q, locc)
+            assert lo[i_star] <= landed <= hi[i_star]  # one chunk: i is i
+            lo[i_star] = landed + 1
+            return lo, np.maximum(lo, hi)
+
+        monkeypatch.setattr(vectorized, "_bracket", past_the_landing_point)
+        store = None
+        if source == "memmap":
+            store, rx = store_memmap(tmp_path / "log.store", rx)
+        try:
+            chunk = vectorized.DEFAULT_CHUNK
+            assert vectorized._sweep_trajectory(
+                rx, rx, k, budget, chunk, None
+            ) is None
+            with metrics_scope() as registry:
+                fit = compute_optimal_singler_chunked(rx, rx, k, budget)
+            assert fallbacks(registry) == 1
+            assert fit == oracle
+        finally:
+            if store is not None:
+                store.close()

@@ -1,6 +1,7 @@
 """Tests for the worker-process transport (``repro.serving.procfleet``):
-the wire protocol's framing and its one decoder under hostile bytes, and
-the socket-backed policy store. None of them spawns a process; the front
+the wire protocol's framing and its one decoder under hostile bytes, a
+live worker fed malformed ``REQUEST`` frames, and the socket-backed
+policy store. Only the live-worker test spawns a process; the front
 door over worker processes is held to the shared contract in
 ``test_serving_contract.py``.
 """
@@ -26,6 +27,7 @@ from repro.serving.procfleet import (
     ProcessFleet,
     ProtocolError,
     RemotePolicyStore,
+    _connect_blocking,
     decode_payload,
     encode_frame,
     read_frame,
@@ -173,6 +175,39 @@ class TestHostileBytes:
             except self.DROPPED:
                 continue
             assert msg_type in MSG_TYPES and isinstance(body, dict)
+
+    def test_malformed_request_fields_drop_the_worker_connection(self, capfd):
+        """A well-framed ``REQUEST`` whose ``seq``, ``qid`` or ``v`` is
+        missing or not an integer closes that connection quietly, as a
+        ``ProtocolError`` does; the worker keeps serving the fleet."""
+        scenario = coerce_scenario("fleet-tail-quick").check()
+        malformed = [
+            {"seq": 1},
+            {"seq": 2, "qid": 3, "v": "x"},
+            {"seq": "a", "qid": 1},
+        ]
+        with ProcessFleet(1, scenario, time_scale=0.0, seed=7) as fleet:
+            worker = fleet.shards[0]
+            for body in malformed:
+                with _connect_blocking("unix", worker.address, 10.0) as sock:
+                    sock.sendall(encode_frame(MSG_REQUEST, body))
+                    assert sock.recv(1) == b"", body  # closed, no reply
+            outcome = asyncio.run(fleet.request(5))
+            assert outcome is not None
+            assert worker.alive
+            stats = fleet.stats()
+            assert stats["completed"] == 1
+            assert stats["requests"] == (
+                stats["completed"] + stats["shed"] + stats["errors"]
+            )
+            (entry,) = stats["per_shard"]
+            assert entry["alive"]
+            assert entry["issued"] == (
+                entry["completed"] + entry["shed"] + entry["errors"]
+            )
+        # The worker has exited: everything it wrote to stderr is in.
+        err = capfd.readouterr().err
+        assert "Traceback" not in err and "Unhandled exception" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,14 @@ log_strategy = st.lists(
     st.floats(0.1, 1e4, allow_nan=False), min_size=20, max_size=400
 )
 
+#: Rounded values plus a run of ties at the maximum, long enough that
+#: ``Pr(X < rx[n - 1])`` can fall below the percentile.
+tied_log_strategy = st.builds(
+    lambda values, top_ties: [float(v) for v in values] + [1e4] * top_ties,
+    st.lists(st.integers(1, 50), min_size=20, max_size=300),
+    st.integers(0, 150),
+)
+
 
 def as_memmap(directory, sorted_samples):
     """The same samples as a read-only ``np.memmap``, like a store's."""
@@ -73,12 +81,12 @@ class TestSweepEqualsOracle:
         assert bits(sweep(rx, ry, p, b, chunk=chunk)) == expected
         assert bits(sweep(mapped_x, mapped_y, p, b, chunk=chunk)) == expected
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        samples=log_strategy,
-        reissue=st.none() | log_strategy,
-        percentile=st.sampled_from([0.9, 0.95, 0.99]),
-        budget=st.sampled_from([0.01, 0.05, 0.2]),
+        samples=log_strategy | tied_log_strategy,
+        reissue=st.none() | log_strategy | tied_log_strategy,
+        percentile=st.sampled_from([0.5, 0.9, 0.95, 0.99, 0.999]),
+        budget=st.sampled_from([0.001, 0.01, 0.05, 0.2, 0.5, 0.9]),
         chunk=st.sampled_from([1, 3, 7, 64, 1000]),
     )
     def test_singler_equals_oracle(
