@@ -11,7 +11,6 @@ from .policies import (
 )
 from .optimizer import (
     SingleRFit,
-    compute_optimal_singled,
     compute_optimal_singler,
     discrete_cdf,
     fit_singled_policy,
@@ -20,7 +19,6 @@ from .optimizer import (
 from .correlated import compute_optimal_singler_correlated
 from .analytic import (
     AnalyticFit,
-    optimal_doubler,
     optimal_singled,
     optimal_singler,
     singler_tail_for_delay,
@@ -38,7 +36,6 @@ from .budget_search import (
     min_budget_for_sla,
 )
 from .interfaces import RunResult, SystemUnderTest
-from .multi import MultipleRFit, compute_optimal_multipler
 from .online import (
     DriftDetector,
     OnlinePolicyController,
@@ -56,7 +53,6 @@ __all__ = [
     "MultipleR",
     "SingleRFit",
     "compute_optimal_singler",
-    "compute_optimal_singled",
     "fit_singled_policy",
     "singler_success_rate",
     "discrete_cdf",
@@ -64,7 +60,6 @@ __all__ = [
     "AnalyticFit",
     "optimal_singler",
     "optimal_singled",
-    "optimal_doubler",
     "singler_tail_for_delay",
     "AdaptiveSingleROptimizer",
     "AdaptiveResult",
@@ -80,6 +75,4 @@ __all__ = [
     "DriftDetector",
     "SlidingWindowLog",
     "RefitEvent",
-    "MultipleRFit",
-    "compute_optimal_multipler",
 ]

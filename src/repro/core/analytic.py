@@ -7,21 +7,20 @@ sample logs. This module solves the constrained optimization problem of
     minimize t  s.t.  Pr(X<=t) + q Pr(X>t) Pr(Y<=t-d) >= k,
                       q Pr(X>=d) <= B
 
-It is used by the tests to validate the data-driven optimizer against
-ground truth, and to check Theorems 3.1/3.2 numerically (optimal DoubleR /
-MultipleR never beat optimal SingleR).
+It backs the ``analytic`` solver, and the tests use it to validate the
+data-driven optimizer against ground truth and to check Theorems 3.1/3.2
+numerically against the brute-force fitters in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy import optimize
 
 from ..distributions.base import Distribution
-from .policies import DoubleR, MultipleR, SingleD, SingleR
+from .policies import SingleD, SingleR
 
 
 @dataclass(frozen=True)
@@ -112,64 +111,6 @@ def optimal_singled(
     t_hi = float(primary.quantile(1.0 - min(1e-9, (1.0 - percentile) / 1e3)))
     tail = policy.tail_latency(percentile * 100.0, primary, reissue, t_hi=t_hi)
     return AnalyticFit(policy=policy, tail=tail, percentile=percentile, budget=budget)
-
-
-def optimal_doubler(
-    primary: Distribution,
-    reissue: Distribution,
-    percentile: float,
-    budget: float,
-    grid: int = 24,
-) -> AnalyticFit:
-    """Best DoubleR policy by exhaustive grid over (d1, d2, q1 split).
-
-    Used to check Theorem 3.1 numerically: the returned tail should never
-    be (meaningfully) below the optimal SingleR tail for the same budget.
-    The budget constraint (Eq. 15) is enforced by solving for q2 given q1.
-    """
-    _check(percentile, budget)
-    t_hi = float(primary.quantile(1.0 - min(1e-9, (1.0 - percentile) / 1e3)))
-    d_max = float(primary.quantile(1.0 - budget)) if budget < 1.0 else 0.0
-    ds = np.asarray(
-        primary.quantile(np.linspace(0.0, 1.0, grid) * (1.0 - budget))
-    )
-    ds = np.unique(np.concatenate([[0.0], ds[ds <= d_max + 1e-12]]))
-    q1s = np.linspace(0.0, 1.0, grid)
-
-    best_tail = np.inf
-    best = None
-    for d1 in ds:
-        surv1 = float(primary.survival(d1))
-        for d2 in ds[ds >= d1]:
-            surv2 = float(primary.survival(d2))
-            fy12 = float(reissue.cdf(max(d2 - d1, 0.0)))
-            for q1 in q1s:
-                if q1 * surv1 > budget + 1e-12:
-                    continue
-                denom = surv2 * (1.0 - q1 * fy12)
-                if denom <= 0.0:
-                    q2 = 1.0
-                else:
-                    q2 = min(1.0, (budget - q1 * surv1) / denom)
-                if q2 < 0.0:
-                    continue
-                pol = DoubleR(float(d1), float(q1), float(d2), float(q2))
-                tail = pol.tail_latency(
-                    percentile * 100.0, primary, reissue, t_hi=t_hi
-                )
-                if tail < best_tail:
-                    best_tail, best = tail, pol
-    assert best is not None
-    return AnalyticFit(
-        policy=best, tail=float(best_tail), percentile=percentile, budget=budget
-    )
-
-
-def multipler_budget(
-    stages: Sequence[tuple], primary: Distribution, reissue: Distribution
-) -> float:
-    """Expected reissue rate of a MultipleR policy (Eq. 15 generalized)."""
-    return MultipleR(stages).expected_budget(primary, reissue)
 
 
 def _check(percentile: float, budget: float) -> None:

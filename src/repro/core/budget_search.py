@@ -41,33 +41,72 @@ class BudgetSearchResult:
         return [t.latency for t in self.trials]
 
 
-class _DedupedEvaluate:
-    """Memoize ``evaluate`` on the exact candidate budget.
+class _Memo:
+    """``evaluate`` memoized on the exact candidate budget.
 
-    The expanding/halving step searches can revisit a budget after a
-    step reversal (grow, reject, halve back onto an earlier probe).
-    Probes are expensive — a full fit-then-measure protocol — and the
-    probe contract is deterministic per budget (fits draw from a fresh
-    seed-derived stream), so an identical candidate never needs a second
-    evaluation. The trial trace still records every probe, cached or
-    not, so search traces (and the fig8 goldens) are unchanged.
+    The expanding/halving step search can revisit a budget after a step
+    reversal (grow, reject, halve back onto an earlier probe). Probes are
+    expensive — a full fit-then-measure protocol — and the probe contract
+    is deterministic per budget (fits draw from a fresh seed-derived
+    stream), so an identical candidate never needs a second evaluation.
+    The trial trace still records every probe, cached or not.
     """
 
-    def __init__(self, evaluate: Callable[[float], float], enabled: bool):
+    def __init__(self, evaluate: Callable[[float], float]):
         self._evaluate = evaluate
-        self._enabled = enabled
         self._cache: dict[float, float] = {}
-        self.calls = 0
 
     def __call__(self, budget: float) -> float:
         budget = float(budget)
-        if not self._enabled:
-            self.calls += 1
-            return float(self._evaluate(budget))
         if budget not in self._cache:
-            self.calls += 1
             self._cache[budget] = float(self._evaluate(budget))
         return self._cache[budget]
+
+    @property
+    def calls(self) -> int:
+        return len(self._cache)
+
+
+def _step_search(
+    evaluate: _Memo,
+    base_latency: float,
+    key: Callable[[float, float], object],
+    accepted_step: Callable[[float, float], float],
+    initial_step: float,
+    max_trials: int,
+    min_step: float,
+    max_budget: float,
+) -> BudgetSearchResult:
+    """The §4.4 loop both searches share, from budget 0 at ``base_latency``.
+
+    Probe ``best + δ``. A probe whose ``key(budget, latency)`` is below
+    the best one's is accepted and sets ``δ = accepted_step(δ, latency)``;
+    a rejected probe sets ``δ = -δ/2``. Stop when |δ| underflows or trials
+    are exhausted.
+    """
+    result = BudgetSearchResult(best_budget=0.0, best_latency=base_latency)
+    result.trials.append(BudgetTrial(0, 0.0, base_latency, accepted=True))
+    best_budget, best_latency = 0.0, base_latency
+    step = initial_step
+    for trial in range(1, max_trials + 1):
+        if abs(step) < min_step:
+            break
+        cand = best_budget + step
+        if cand <= 0.0 or cand > max_budget:
+            step = -step / 2.0
+            continue
+        latency = evaluate(cand)
+        improved = key(cand, latency) < key(best_budget, best_latency)
+        result.trials.append(BudgetTrial(trial, cand, latency, accepted=improved))
+        if improved:
+            best_budget, best_latency = cand, latency
+            step = accepted_step(step, latency)
+        else:
+            step = -step / 2.0
+    result.best_budget = best_budget
+    result.best_latency = best_latency
+    result.evaluations = evaluate.calls
+    return result
 
 
 def find_optimal_budget(
@@ -77,7 +116,6 @@ def find_optimal_budget(
     min_step: float = 1e-3,
     max_budget: float = 1.0,
     baseline_latency: float | None = None,
-    dedupe: bool = True,
 ) -> BudgetSearchResult:
     """Paper §4.4 binary-search procedure for the tail-minimizing budget.
 
@@ -86,53 +124,35 @@ def find_optimal_budget(
     evaluate:
         Callback mapping a budget to the achieved k-th percentile latency
         (typically: run the adaptive optimizer for a few trials at that
-        budget, then measure). Budget 0 means no reissue.
+        budget, then measure). Budget 0 means no reissue. It is called
+        once per distinct budget: a revisit is served from a memo and
+        still recorded in the trial trace.
     initial_step:
         δ — the paper uses 1%.
     baseline_latency:
         Latency at budget 0; evaluated via ``evaluate(0.0)`` if omitted.
-    dedupe:
-        Cache ``evaluate`` per exact candidate budget so step reversals
-        never re-run an identical evaluation (the trial trace is
-        unaffected — revisits are recorded with the cached latency).
-        Disable for evaluators that are deliberately non-deterministic
-        across calls at the same budget.
 
     Steps: probe ``best + δ``; on improvement set ``best`` and ``δ = 1.5δ``,
     else ``δ = -δ/2``; stop when |δ| underflows or trials are exhausted.
     """
     if initial_step <= 0.0:
         raise ValueError("initial_step must be positive")
-    evaluate = _DedupedEvaluate(evaluate, dedupe)
-    best_budget = 0.0
-    best_latency = (
+    evaluate = _Memo(evaluate)
+    base = (
         float(baseline_latency)
         if baseline_latency is not None
-        else float(evaluate(0.0))
+        else evaluate(0.0)
     )
-    result = BudgetSearchResult(best_budget=best_budget, best_latency=best_latency)
-    result.trials.append(BudgetTrial(0, 0.0, best_latency, accepted=True))
-
-    step = initial_step
-    for trial in range(1, max_trials + 1):
-        if abs(step) < min_step:
-            break
-        cand = best_budget + step
-        if cand <= 0.0 or cand > max_budget:
-            step = -step / 2.0
-            continue
-        latency = float(evaluate(cand))
-        improved = latency < best_latency
-        result.trials.append(BudgetTrial(trial, cand, latency, accepted=improved))
-        if improved:
-            best_budget, best_latency = cand, latency
-            step = 1.5 * step
-        else:
-            step = -step / 2.0
-    result.best_budget = best_budget
-    result.best_latency = best_latency
-    result.evaluations = evaluate.calls
-    return result
+    return _step_search(
+        evaluate,
+        base,
+        key=lambda budget, latency: latency,
+        accepted_step=lambda step, latency: 1.5 * step,
+        initial_step=initial_step,
+        max_trials=max_trials,
+        min_step=min_step,
+        max_budget=max_budget,
+    )
 
 
 def min_budget_for_sla(
@@ -142,25 +162,21 @@ def min_budget_for_sla(
     max_trials: int = 20,
     min_step: float = 1e-3,
     max_budget: float = 1.0,
-    dedupe: bool = True,
 ) -> BudgetSearchResult:
     """Smallest budget meeting a latency SLA (§4.4 "minimal resources").
 
     Uses the paper's suggested transform ``f(L) = min(T, L)`` so that once
     the SLA is met, smaller budgets are preferred: we search on the pair
-    ``(latency clipped to T, budget)`` lexicographically. ``dedupe`` as
-    in :func:`find_optimal_budget`.
+    ``(latency clipped to T, budget)`` lexicographically. ``evaluate`` is
+    memoized as in :func:`find_optimal_budget`.
     """
     if target_latency <= 0.0:
         raise ValueError("target_latency must be positive")
 
-    evaluate = _DedupedEvaluate(evaluate, dedupe)
-    base = float(evaluate(0.0))
-    result = BudgetSearchResult(best_budget=0.0, best_latency=base)
-    result.trials.append(BudgetTrial(0, 0.0, base, accepted=True))
-    result.evaluations = evaluate.calls
+    evaluate = _Memo(evaluate)
+    base = evaluate(0.0)
     if base <= target_latency:
-        return result  # SLA already met with zero redundancy.
+        max_trials = 0  # SLA already met with zero redundancy: no probes.
 
     # Two-phase lexicographic acceptance. The paper suggests searching on
     # f(L) = min{T, L}, but that transform is flat for every budget still
@@ -174,28 +190,19 @@ def min_budget_for_sla(
             return (0, budget)
         return (1, latency)
 
-    best_budget, best_latency = 0.0, base
-    step = initial_step
-    for trial in range(1, max_trials + 1):
-        if abs(step) < min_step:
-            break
-        cand = best_budget + step
-        if cand <= 0.0 or cand > max_budget:
-            step = -step / 2.0
-            continue
-        latency = float(evaluate(cand))
-        improved = key(cand, latency) < key(best_budget, best_latency)
-        result.trials.append(BudgetTrial(trial, cand, latency, accepted=improved))
-        if improved:
-            best_budget, best_latency = cand, latency
-            if latency <= target_latency:
-                # SLA met: probe downward with halved step to shrink budget.
-                step = -abs(step) / 2.0
-            else:
-                step = 1.5 * step
-        else:
-            step = -step / 2.0
-    result.best_budget = best_budget
-    result.best_latency = best_latency
-    result.evaluations = evaluate.calls
-    return result
+    def accepted_step(step: float, latency: float) -> float:
+        if latency <= target_latency:
+            # SLA met: probe downward with halved step to shrink budget.
+            return -abs(step) / 2.0
+        return 1.5 * step
+
+    return _step_search(
+        evaluate,
+        base,
+        key=key,
+        accepted_step=accepted_step,
+        initial_step=initial_step,
+        max_trials=max_trials,
+        min_step=min_step,
+        max_budget=max_budget,
+    )

@@ -7,8 +7,6 @@ from .exponential import Exponential
 from .weibull import Weibull
 from .uniform import Uniform, Deterministic
 from .empirical import Empirical, tail_percentile
-from .mixture import Mixture
-from .correlated import LinearCorrelatedPair, empirical_correlation
 
 __all__ = [
     "Distribution",
@@ -21,7 +19,4 @@ __all__ = [
     "Deterministic",
     "Empirical",
     "tail_percentile",
-    "Mixture",
-    "LinearCorrelatedPair",
-    "empirical_correlation",
 ]

@@ -1,6 +1,7 @@
-"""Shared machinery for the figure drivers.
+"""Shared machinery for the figure drivers: fidelity scales and results.
 
-The paper's protocol, which every driver follows:
+The paper's protocol, which every driver follows through
+:mod:`repro.optimize` (fits) and :mod:`repro.pipeline.cells` (medians):
 
 * policies are fitted by the adaptive optimizer (§4.3) against the target
   system, then evaluated with fresh run seeds;
@@ -14,13 +15,9 @@ The paper's protocol, which every driver follows:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from ..core.interfaces import RunResult, SystemUnderTest
-from ..core.policies import NoReissue, ReissuePolicy, SingleR
-from ..distributions.base import RngLike, as_rng
 from ..viz.table import format_csv, format_table
 
 
@@ -107,90 +104,3 @@ class ExperimentResult:
             parts.append("notes:")
             parts.extend(f"  - {n}" for n in self.notes)
         return "\n\n".join(parts)
-
-
-def median_tail(
-    system: SystemUnderTest,
-    policy: ReissuePolicy,
-    percentile: float,
-    seeds: Sequence[int],
-) -> tuple[float, float]:
-    """(median k-th percentile latency, median reissue rate) over seeds.
-
-    The replications run through :func:`repro.fastsim.run_replications`,
-    a loop of ``run(policy, seed)`` per seed (traced as one
-    ``fastsim.batch`` span).
-    """
-    from ..fastsim import run_replications
-
-    runs = run_replications(system, policy, seeds)
-    tails = [run.tail(percentile) for run in runs]
-    rates = [run.reissue_rate for run in runs]
-    return float(np.median(tails)), float(np.median(rates))
-
-
-def fit_singler(
-    system: SystemUnderTest,
-    percentile: float,
-    budget: float,
-    scale: Scale,
-    learning_rate: float = 0.5,
-    rng: RngLike = None,
-) -> SingleR:
-    """Fit a SingleR policy with the paper's adaptive protocol (§4.3/§6.1).
-
-    Thin scale-aware wrapper over
-    :func:`repro.optimize.fit_singler_protocol` — the one implementation
-    of the protocol (adaptive loop, best-measured-trial selection within
-    1.5x of the budget, SingleD-corner probe) now lives in the solver
-    layer; this keeps the drivers' ``Scale``-based signature.
-    """
-    from ..optimize import fit_singler_protocol
-
-    return fit_singler_protocol(
-        system,
-        percentile,
-        budget,
-        trials=scale.adaptive_trials,
-        learning_rate=learning_rate,
-        rng=as_rng(rng),
-    )
-
-
-def fit_singled(
-    system: SystemUnderTest,
-    budget: float,
-    scale: Scale,
-    rng: RngLike = None,
-) -> ReissuePolicy:
-    """Fit the SingleD baseline with adaptive budget honouring (§5.1)."""
-    from ..optimize import fit_singled_protocol
-
-    return fit_singled_protocol(
-        system,
-        percentile=0.99,
-        budget=budget,
-        trials=scale.adaptive_trials,
-        rng=rng,
-    )
-
-
-def baseline_tail(
-    system: SystemUnderTest, percentile: float, seeds: Sequence[int]
-) -> float:
-    """Median no-reissue tail over the evaluation seeds."""
-    tail, _ = median_tail(system, NoReissue(), percentile, seeds)
-    return tail
-
-
-def compare_policies(
-    system: SystemUnderTest,
-    policies: Mapping[str, ReissuePolicy],
-    percentile: float,
-    seeds: Sequence[int],
-) -> dict[str, tuple[float, float]]:
-    """Median (tail, reissue rate) for each named policy on one system."""
-    return {
-        name: median_tail(system, pol, percentile, seeds)
-        for name, pol in policies.items()
-    }

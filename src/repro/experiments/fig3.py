@@ -28,13 +28,7 @@ from ..pipeline import SpecBuilder, run_pipeline
 from ..pipeline.spec import SystemRef, system_ref
 from ..scenarios.registry import build_system, make_policy
 from ..viz.ascii_chart import line_chart
-from .common import (
-    ExperimentResult,
-    Scale,
-    fit_singled,
-    fit_singler,
-    get_scale,
-)
+from .common import ExperimentResult, Scale, get_scale
 
 PERCENTILE = 0.95
 #: The three §5.1 workloads, by scenario-registry kind.
@@ -52,13 +46,20 @@ def fit_policies_cell(
 ):
     """(SingleR, SingleD) fitted per the workload's model (§4.1-§4.3),
     each through the matching :mod:`repro.optimize` solver."""
-    from ..optimize import FitRequest, correlated_probe_logs, solve
+    from ..optimize import (
+        FitRequest,
+        correlated_probe_logs,
+        fit_singled_protocol,
+        fit_singler_protocol,
+        solve,
+    )
 
     system = system.build()
     rng = as_rng(seed)
     if name == "queueing":
-        sr = fit_singler(system, PERCENTILE, budget, scale, rng=rng)
-        sd = fit_singled(system, budget, scale, rng=rng)
+        trials = scale.adaptive_trials
+        sr = fit_singler_protocol(system, PERCENTILE, budget, trials, rng=rng)
+        sd = fit_singled_protocol(system, PERCENTILE, budget, trials, rng=rng)
         return sr, sd
     if name == "correlated":
         # Collect correlated (X, Y) pairs with an immediate probe policy,

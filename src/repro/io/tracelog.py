@@ -274,14 +274,12 @@ def trace_to_store(
     return TraceReader(store_path)
 
 
-def store_to_trace(store_path, csv_path, *, chunk_rows: int = 0) -> None:
-    """Convert a packed-binary store back to CSV, block at a time.
+def store_to_trace(store_path, csv_path) -> None:
+    """Convert a packed-binary store back to CSV, one store block at a time.
 
     Floats are formatted with ``repr`` exactly like :func:`write_trace`,
-    so CSV→binary→CSV round-trips byte for byte. (``chunk_rows`` is
-    accepted for symmetry; streaming is per store block regardless.)
+    so CSV→binary→CSV round-trips byte for byte.
     """
-    del chunk_rows
     reader = TraceReader(store_path)
     csv_path = Path(csv_path)
     tmp = csv_path.with_suffix(csv_path.suffix + ".tmp")

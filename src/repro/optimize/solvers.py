@@ -252,9 +252,8 @@ def fit_singler_protocol(
 ) -> SingleR:
     """The paper's adaptive SingleR fit protocol (§4.3/§6.1).
 
-    This is the one implementation behind
-    :func:`repro.experiments.common.fit_singler` (which all figure
-    drivers use): run the adaptive loop, keep the trial with the best
+    This is the one implementation the figure drivers use (through
+    :mod:`repro.pipeline.cells` or directly): run the adaptive loop, keep the trial with the best
     *measured* tail among trials honouring 1.5x the budget, then probe
     the SingleD ``(d', q=1)`` corner the chain may not have reached.
 

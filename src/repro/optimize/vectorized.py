@@ -1,7 +1,8 @@
 """The Figure-1 parameter sweeps (§4.1), broadcast one candidate chunk
 at a time.
 
-The scalar sweeps in :mod:`repro.core.optimizer` walk the sorted sample
+The scalar sweeps (SingleR in :mod:`repro.core.optimizer`, SingleD in
+the test oracle ``tests/oracles/singled.py``) walk the sorted sample
 log with a two-pointer loop, calling ``discrete_cdf`` (a Python wrapper
 around one ``np.searchsorted``) once per probe — O(N) probes, each a few
 microseconds of interpreter overhead. This module computes the same
@@ -47,7 +48,7 @@ O(N) first-occurrence table, a memmap recomputes it per probe so that
 additional memory stays O(chunk).
 
 ``tests/test_optimize_vectorized.py`` and ``tests/test_store_fit.py``
-enforce bit-for-bit equality against the scalar oracle.
+enforce bit-for-bit equality against the scalar sweeps.
 """
 
 from __future__ import annotations
@@ -96,8 +97,8 @@ def compute_optimal_singled_vectorized(
     percentile: float,
     budget: float,
 ) -> SingleRFit:
-    """Vectorized SingleD fit — bit-for-bit
-    :func:`repro.core.optimizer.compute_optimal_singled`."""
+    """Vectorized SingleD fit — bit-for-bit the scalar descent in
+    ``tests/oracles/singled.py``."""
     return compute_optimal_singled_chunked(*sort_logs(rx, ry), percentile, budget)
 
 
@@ -119,7 +120,10 @@ def compute_optimal_singler_chunked(
     picked = _sweep_trajectory(rx, ry, percentile, budget, chunk, release)
     if picked is None:  # the replay rejected the trajectory: exact path
         get_metrics().counter("optimize.sweep.fallbacks").inc()
-        return _singler_scalar(rx, ry, percentile, budget)
+        fit = _singler_scalar(rx, ry, percentile, budget)
+        if release is not None:
+            release()
+        return fit
     d_star, t = picked
 
     # Finishers shared verbatim with the scalar implementation

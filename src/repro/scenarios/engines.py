@@ -70,7 +70,7 @@ class ScenarioReport:
     #: Acceptance slack on the declared budget: the measured reissue rate
     #: may exceed it by up to 50% before a run is flagged as over budget —
     #: the same tolerance the §6.1 adaptive fit protocol uses when it
-    #: accepts trial policies (``experiments.common.fit_singler``).
+    #: accepts trial policies (``optimize.fit_singler_protocol``).
     BUDGET_TOLERANCE = 1.5
 
     @property

@@ -6,8 +6,8 @@ from .arrivals import (
     DeterministicArrivals,
     PoissonArrivals,
     TraceArrivals,
+    arrival_rate_for_utilization,
 )
-from .calibrate import arrival_rate_for_utilization, calibrate_arrival_rate
 from .engine import ClusterConfig, simulate_cluster, simulate_cluster_reference
 from .events import ARRIVAL, DEPARTURE, REISSUE_CHECK, EventQueue
 from .load_balancer import (
@@ -22,7 +22,6 @@ from .metrics import (
     LatencySummary,
     inverse_cdf_series,
     reduction_ratio,
-    remediation_rate_from_run,
 )
 from .queues import (
     FifoQueue,
@@ -48,7 +47,6 @@ __all__ = [
     "BurstyArrivals",
     "TraceArrivals",
     "arrival_rate_for_utilization",
-    "calibrate_arrival_rate",
     "ClusterConfig",
     "simulate_cluster",
     "simulate_cluster_reference",
@@ -65,7 +63,6 @@ __all__ = [
     "LatencySummary",
     "reduction_ratio",
     "inverse_cdf_series",
-    "remediation_rate_from_run",
     "QueueDiscipline",
     "FifoQueue",
     "PrioritizedFifoQueue",

@@ -3,7 +3,9 @@
 The paper's clients send requests in an open loop with exponential
 inter-arrival times (Poisson process) — arrivals never slow down because
 the system is backed up, which is exactly what makes overload from
-reissuing dangerous.
+reissuing dangerous. A run's load is set by its arrival rate:
+:func:`arrival_rate_for_utilization` picks the rate for a target
+baseline (no-reissue) utilization.
 """
 
 from __future__ import annotations
@@ -11,6 +13,20 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions.base import RngLike, as_rng
+
+
+def arrival_rate_for_utilization(
+    utilization: float, n_servers: int, mean_service: float
+) -> float:
+    """Arrival rate giving baseline ``utilization`` on ``n_servers``:
+    ``rho = lambda * E[S] / n_servers`` for an open-loop M/G/k cluster."""
+    if not 0.0 < utilization < 1.0:
+        raise ValueError("utilization must be in (0, 1)")
+    if n_servers < 1:
+        raise ValueError("n_servers must be >= 1")
+    if not mean_service > 0.0:
+        raise ValueError("mean_service must be > 0")
+    return utilization * n_servers / mean_service
 
 
 class ArrivalProcess:

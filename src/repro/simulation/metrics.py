@@ -61,10 +61,3 @@ def inverse_cdf_series(samples, probs) -> np.ndarray:
     if samples.size == 0:
         raise ValueError("samples must be non-empty")
     return np.quantile(samples, probs, method="higher")
-
-
-def remediation_rate_from_run(
-    run: RunResult, tail_target: float, delay: float
-) -> float:
-    """Convenience alias for :meth:`RunResult.remediation_rate`."""
-    return run.remediation_rate(tail_target, delay)

@@ -20,8 +20,11 @@ from ..core.interfaces import RunResult
 from ..core.policies import ReissuePolicy
 from ..distributions import Pareto
 from ..distributions.base import Distribution, RngLike, as_rng
-from .arrivals import ArrivalProcess, PoissonArrivals
-from .calibrate import arrival_rate_for_utilization
+from .arrivals import (
+    ArrivalProcess,
+    PoissonArrivals,
+    arrival_rate_for_utilization,
+)
 from .engine import ClusterConfig, simulate_cluster
 from .load_balancer import LoadBalancer
 

@@ -17,8 +17,7 @@ import numpy as np
 from ..core.interfaces import RunResult
 from ..core.policies import ReissuePolicy
 from ..distributions.base import RngLike, as_rng
-from ..simulation.arrivals import PoissonArrivals
-from ..simulation.calibrate import arrival_rate_for_utilization
+from ..simulation.arrivals import PoissonArrivals, arrival_rate_for_utilization
 from ..simulation.engine import ClusterConfig, simulate_cluster
 from .search_engine import SearchCorpusConfig, SearchWorkload
 

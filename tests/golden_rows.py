@@ -1,10 +1,9 @@
-"""Stable digests of experiment rows for golden-equivalence tests.
+"""Stable digests of experiment rows for the golden-equivalence tests.
 
-The pipeline refactor's contract is that every figure's ``rows`` are
-bit-for-bit identical to the pre-refactor drivers. The golden tests commit
-a content digest per figure, plus each row's short digest and canonical
-values so that a mismatch can name the first cell that moved.
-The serialization below is intentionally explicit (no ``json.dumps``
+Every figure's ``rows`` must stay bit-for-bit identical to the committed
+``tests/goldens/experiment_rows_quick.json``. That file holds a content
+digest per figure, plus each row's short digest and canonical values, so
+that a mismatch can name the first cell that moved. The serialization below is intentionally explicit (no ``json.dumps``
 float formatting surprises): every scalar is tagged with its type and
 floats use ``repr(float(v))``, which round-trips IEEE doubles exactly.
 """

@@ -1,17 +1,20 @@
-"""Data-driven MultipleR fitting — the empirical side of Theorem 3.2.
+"""Brute-force multi-stage fitters: the numerical face of Theorems 3.1/3.2
+(test oracles).
 
-The theorems of §3 say the *optimal* MultipleR policy is no better than
-the optimal SingleR policy. This module makes that claim checkable on
-response-time logs rather than closed-form distributions: it fits the
-best n-stage policy it can find by grid search under the Eq.-15 budget
-constraint, so tests and ablation benches can verify that the extra
-stages buy nothing on real data either.
+The theorems of §3 say the *optimal* DoubleR/MultipleR policy is no
+better than the optimal SingleR policy at the same budget. These fitters
+try hard to beat SingleR and must fail:
 
-This is deliberately a *search*, not a clever algorithm: its purpose is
-adversarial (try hard to beat SingleR and fail), so a coarse-to-fine grid
-over stage delays with the remaining budget pushed into the last stage is
-exactly what is wanted. Complexity is O(grid^n_stages · n_stages) success
-evaluations over pre-sorted logs.
+* :func:`optimal_doubler` searches a grid over DoubleR ``(d1, d2, q1)``
+  on closed-form distributions (Theorem 3.1), solving ``q2`` from the
+  Eq.-15 budget;
+* :func:`compute_optimal_multipler` searches n-stage policies on
+  response-time logs (Theorem 3.2 on data): a coarse grid over stage
+  delays with the remaining budget pushed into the last stage.
+  O(grid^n_stages · n_stages) success evaluations over pre-sorted logs.
+
+Only the production SingleR fitters they are compared against live in
+``repro.core``.
 """
 
 from __future__ import annotations
@@ -21,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optimizer import discrete_cdf
-from .policies import MultipleR
+from repro.core.analytic import AnalyticFit
+from repro.core.optimizer import discrete_cdf
+from repro.core.policies import DoubleR, MultipleR
+from repro.distributions.base import Distribution
 
 
 @dataclass(frozen=True)
@@ -145,4 +150,58 @@ def compute_optimal_multipler(
         baseline_tail=baseline,
         budget=float(budget),
         percentile=float(percentile),
+    )
+
+
+def optimal_doubler(
+    primary: Distribution,
+    reissue: Distribution,
+    percentile: float,
+    budget: float,
+    grid: int = 24,
+) -> AnalyticFit:
+    """Best DoubleR policy by exhaustive grid over (d1, d2, q1 split).
+
+    Used to check Theorem 3.1 numerically: the returned tail should never
+    be (meaningfully) below the optimal SingleR tail for the same budget.
+    The budget constraint (Eq. 15) is enforced by solving for q2 given q1.
+    """
+    if not 0.0 < percentile < 1.0:
+        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
+    if not 0.0 < budget <= 1.0:
+        raise ValueError(f"budget must be in (0, 1], got {budget}")
+    t_hi = float(primary.quantile(1.0 - min(1e-9, (1.0 - percentile) / 1e3)))
+    d_max = float(primary.quantile(1.0 - budget)) if budget < 1.0 else 0.0
+    ds = np.asarray(
+        primary.quantile(np.linspace(0.0, 1.0, grid) * (1.0 - budget))
+    )
+    ds = np.unique(np.concatenate([[0.0], ds[ds <= d_max + 1e-12]]))
+    q1s = np.linspace(0.0, 1.0, grid)
+
+    best_tail = np.inf
+    best = None
+    for d1 in ds:
+        surv1 = float(primary.survival(d1))
+        for d2 in ds[ds >= d1]:
+            surv2 = float(primary.survival(d2))
+            fy12 = float(reissue.cdf(max(d2 - d1, 0.0)))
+            for q1 in q1s:
+                if q1 * surv1 > budget + 1e-12:
+                    continue
+                denom = surv2 * (1.0 - q1 * fy12)
+                if denom <= 0.0:
+                    q2 = 1.0
+                else:
+                    q2 = min(1.0, (budget - q1 * surv1) / denom)
+                if q2 < 0.0:
+                    continue
+                pol = DoubleR(float(d1), float(q1), float(d2), float(q2))
+                tail = pol.tail_latency(
+                    percentile * 100.0, primary, reissue, t_hi=t_hi
+                )
+                if tail < best_tail:
+                    best_tail, best = tail, pol
+    assert best is not None
+    return AnalyticFit(
+        policy=best, tail=float(best_tail), percentile=percentile, budget=budget
     )

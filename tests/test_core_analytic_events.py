@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles.multistage import optimal_doubler
 from repro.core.analytic import (
-    multipler_budget,
-    optimal_doubler,
     optimal_singled,
     optimal_singler,
     singler_tail_for_delay,
 )
-from repro.core.policies import SingleD, SingleR
+from repro.core.policies import MultipleR, SingleD, SingleR
 from repro.distributions import Exponential, LogNormal, Pareto
 from repro.simulation.events import (
     ARRIVAL,
@@ -64,7 +63,7 @@ class TestAnalyticSingleR:
 
     def test_multipler_budget_helper(self):
         dist = Exponential(1.0)
-        b = multipler_budget([(0.0, 0.5), (1.0, 0.5)], dist, dist)
+        b = MultipleR([(0.0, 0.5), (1.0, 0.5)]).expected_budget(dist, dist)
         # Stage 1 fires with 0.5; stage 2 fires iff the coin succeeds and
         # both the primary and the (possibly issued) first copy are
         # outstanding at t=1.

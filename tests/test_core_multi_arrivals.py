@@ -1,9 +1,10 @@
-"""Tests for the data-driven MultipleR fitter and the arrival processes."""
+"""Tests for the data-driven MultipleR fitter (the Theorem 3.2 oracle in
+``tests/oracles/multistage.py``) and the arrival processes."""
 
 import numpy as np
 import pytest
 
-from repro.core.multi import compute_optimal_multipler
+from oracles.multistage import _policy_budget, compute_optimal_multipler
 from repro.core.optimizer import compute_optimal_singler
 from repro.simulation.arrivals import (
     BurstyArrivals,
@@ -23,8 +24,6 @@ class TestMultipleRFit:
         rx = heavy_log()
         fit = compute_optimal_multipler(rx, rx, 0.95, 0.15, n_stages=2,
                                         delay_grid=8, prob_grid=4)
-        from repro.core.multi import _policy_budget
-
         spent = _policy_budget(np.sort(rx), np.sort(rx), fit.stages)
         assert spent <= 0.15 + 1e-9
 

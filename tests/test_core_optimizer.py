@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.singled import compute_optimal_singled
 from repro.core.optimizer import (
-    compute_optimal_singled,
     compute_optimal_singler,
     discrete_cdf,
     fit_singled_policy,

@@ -1,85 +1,39 @@
-"""Tests for Mixture and the linear-correlated pair model."""
+"""Tests for the §5.1 linear-correlated pair model, Y = r*x + Z.
+
+The model is drawn by :class:`repro.simulation.workloads.ServiceModel`:
+``sample_primary`` gives the primary service time x and ``sample_reissue``
+the reissue copy's Y from an independent Z of the same base distribution.
+"""
 
 import numpy as np
 import pytest
 
-from repro.distributions import (
-    Deterministic,
-    Exponential,
-    LinearCorrelatedPair,
-    Mixture,
-    Pareto,
-    Uniform,
-    empirical_correlation,
-)
+from repro.distributions import Exponential, Pareto
+from repro.simulation.workloads import ServiceModel
 
 
-class TestMixture:
-    def test_mean_is_weighted(self):
-        m = Mixture([Deterministic(1.0), Deterministic(3.0)], [0.25, 0.75])
-        assert m.mean() == pytest.approx(2.5)
-
-    def test_cdf_is_weighted(self):
-        m = Mixture([Uniform(0, 1), Uniform(1, 2)], [0.5, 0.5])
-        assert float(m.cdf(1.0)) == pytest.approx(0.5)
-
-    def test_sampling_proportions(self, rng):
-        m = Mixture([Deterministic(0.0), Deterministic(10.0)], [0.9, 0.1])
-        s = m.sample(20000, rng)
-        assert np.mean(s == 10.0) == pytest.approx(0.1, abs=0.01)
-
-    def test_weights_normalized(self):
-        m = Mixture([Deterministic(1.0), Deterministic(2.0)], [2.0, 6.0])
-        assert m.weights.tolist() == [0.25, 0.75]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Mixture([], [])
-        with pytest.raises(ValueError):
-            Mixture([Deterministic(1.0)], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            Mixture([Deterministic(1.0)], [-1.0])
-        with pytest.raises(ValueError):
-            Mixture([Deterministic(1.0)], [0.0])
+def sample_pairs(model: ServiceModel, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    x = model.sample_primary(n, rng)
+    return x, model.sample_reissue(x, rng)
 
 
 class TestLinearCorrelatedPair:
     def test_paper_model_shape(self, rng):
-        pair = LinearCorrelatedPair(Pareto(1.1, 2.0), ratio=0.5)
-        x, y = pair.sample_pairs(5000, rng)
+        x, y = sample_pairs(ServiceModel(Pareto(1.1, 2.0), correlation=0.5), 5000, rng)
         # Y = 0.5 x + Z with Z >= mode, so y >= 0.5 x + 2 always.
         assert np.all(y >= 0.5 * x + 2.0 - 1e-12)
 
     def test_zero_ratio_independent(self, rng):
-        pair = LinearCorrelatedPair(Exponential(1.0), ratio=0.0)
-        x, y = pair.sample_pairs(50000, rng)
-        assert abs(empirical_correlation(x, y)) < 0.02
+        x, y = sample_pairs(ServiceModel(Exponential(1.0), correlation=0.0), 50000, rng)
+        assert abs(np.corrcoef(x, y)[0, 1]) < 0.02
 
     def test_correlation_increases_with_ratio(self, rng):
-        base = Exponential(1.0)
         cors = []
         for r in (0.0, 0.5, 1.0):
-            x, y = LinearCorrelatedPair(base, r).sample_pairs(30000, rng)
-            cors.append(empirical_correlation(x, y))
+            x, y = sample_pairs(ServiceModel(Exponential(1.0), correlation=r), 30000, rng)
+            cors.append(np.corrcoef(x, y)[0, 1])
         assert cors[0] < cors[1] < cors[2]
-
-    def test_mean_reissue(self):
-        pair = LinearCorrelatedPair(Exponential(0.5), ratio=0.5)
-        assert pair.mean_reissue() == pytest.approx(1.5 * 2.0)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
-            LinearCorrelatedPair(Exponential(1.0), ratio=-0.1)
-
-
-class TestEmpiricalCorrelation:
-    def test_perfect_correlation(self):
-        x = np.arange(10, dtype=float)
-        assert empirical_correlation(x, 2 * x + 1) == pytest.approx(1.0)
-
-    def test_constant_input_gives_zero(self):
-        assert empirical_correlation(np.ones(10), np.arange(10.0)) == 0.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            empirical_correlation([1.0], [1.0, 2.0])
+            ServiceModel(Exponential(1.0), correlation=-0.1)

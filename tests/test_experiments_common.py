@@ -1,19 +1,14 @@
-"""Tests for the shared experiment machinery (scales, fitting protocol)."""
+"""Tests for the machinery every figure driver shares: scales, the §6.3
+median-of-runs reduction and the adaptive fit protocol."""
 
 import numpy as np
 import pytest
 
 from repro.core.policies import NoReissue, SingleD, SingleR
-from repro.experiments.common import (
-    SCALES,
-    Scale,
-    baseline_tail,
-    compare_policies,
-    fit_singled,
-    fit_singler,
-    get_scale,
-    median_tail,
-)
+from repro.distributions.base import as_rng
+from repro.experiments.common import SCALES, Scale, get_scale
+from repro.optimize import fit_singled_protocol, fit_singler_protocol
+from repro.pipeline.cells import evaluate_replications, median_tail_reduce
 from repro.simulation.workloads import queueing_workload
 
 TINY = Scale(
@@ -43,6 +38,12 @@ class TestScale:
             get_scale("nope")
 
 
+def median_tail(system, policy, percentile, seeds):
+    """The figures' §6.3 reduction: seed-paired runs, then medians."""
+    runs = evaluate_replications(system, policy, seeds, (percentile,))
+    return median_tail_reduce(runs, percentile)
+
+
 class TestMedianTail:
     def test_median_over_seeds(self):
         system = queueing_workload(n_queries=2000, utilization=0.3)
@@ -50,54 +51,50 @@ class TestMedianTail:
         assert tail > 0 and rate == 0.0
 
     def test_baseline_tail_helper(self):
+        # The no-reissue baseline each figure reports against: over two
+        # seeds its median is the midpoint of the two runs' tails.
         system = queueing_workload(n_queries=2000, utilization=0.3)
-        assert baseline_tail(system, 0.95, (1, 2)) > 0
+        tail, _ = median_tail(system, NoReissue(), 0.95, (1, 2))
+        runs = [system.run(NoReissue(), as_rng(s)) for s in (1, 2)]
+        assert tail > 0
+        assert tail == float(np.median([r.tail(0.95) for r in runs]))
 
     def test_batch_path_matches_seed_loop(self):
-        # median_tail goes through fastsim.run_replications; it must
-        # reproduce the per-seed loop exactly.
+        # evaluate_replications goes through fastsim.run_replications; it
+        # must reproduce the per-seed loop exactly.
         system = queueing_workload(n_queries=2000, utilization=0.3)
         pol = SingleR(1.0, 0.3)
         seeds = (101, 103, 107)
         batch_tail, batch_rate = median_tail(system, pol, 0.95, seeds)
-        from repro.distributions.base import as_rng
-
         runs = [system.run(pol, as_rng(s)) for s in seeds]
         assert batch_tail == float(np.median([r.tail(0.95) for r in runs]))
         assert batch_rate == float(np.median([r.reissue_rate for r in runs]))
-
-    def test_compare_policies_keys(self):
-        system = queueing_workload(n_queries=2000, utilization=0.3)
-        out = compare_policies(
-            system,
-            {"none": NoReissue(), "sr": SingleR(1.0, 0.2)},
-            0.95,
-            (1,),
-        )
-        assert set(out) == {"none", "sr"}
-        assert out["sr"][1] > 0  # some reissues dispatched
 
 
 class TestFitProtocol:
     def test_fit_singler_returns_budget_honouring_policy(self):
         system = queueing_workload(n_queries=3000, utilization=0.3)
-        pol = fit_singler(system, 0.95, 0.15, TINY, rng=np.random.default_rng(0))
+        pol = fit_singler_protocol(
+            system, 0.95, 0.15, TINY.adaptive_trials, rng=np.random.default_rng(0)
+        )
         assert isinstance(pol, SingleR)
         run = system.run(pol, np.random.default_rng(9))
         assert run.reissue_rate <= 0.15 * 2.0  # within the protocol's slack
 
     def test_fit_singled_returns_singled(self):
         system = queueing_workload(n_queries=3000, utilization=0.3)
-        pol = fit_singled(system, 0.15, TINY, rng=np.random.default_rng(0))
+        pol = fit_singled_protocol(
+            system, 0.95, 0.15, TINY.adaptive_trials, rng=np.random.default_rng(0)
+        )
         assert isinstance(pol, SingleD)
 
     def test_fit_singler_never_much_worse_than_corner(self):
-        """The SingleD-corner probe inside fit_singler guards against bad
+        """The SingleD-corner probe inside the protocol guards against bad
         adaptive chains: the fitted policy must not lose badly to the
         plain Eq.-2 corner policy."""
         system = queueing_workload(n_queries=3000, utilization=0.3)
         rng = np.random.default_rng(5)
-        pol = fit_singler(system, 0.95, 0.2, TINY, rng=rng)
+        pol = fit_singler_protocol(system, 0.95, 0.2, TINY.adaptive_trials, rng=rng)
         t_fit, _ = median_tail(system, pol, 0.95, (11, 13, 17))
         base = system.run(NoReissue(), np.random.default_rng(11))
         rx = np.sort(base.primary_response_times)

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from oracles.singled import compute_optimal_singled
 from repro.core.budget_search import find_optimal_budget
 from repro.core.correlated import compute_optimal_singler_correlated
 from repro.core.online import OnlinePolicyController
 from repro.core.optimizer import (
-    compute_optimal_singled,
     compute_optimal_singler,
     fit_singled_policy,
 )
@@ -417,18 +417,6 @@ class TestBudgetDedupe:
         assert deduped.evaluations == len(calls)
         # The trial trace still records every probe (cached or not).
         assert len(deduped.trials) >= deduped.evaluations
-
-    def test_dedupe_off_restores_per_probe_calls(self):
-        calls = []
-
-        def evaluate(budget):
-            calls.append(budget)
-            return 100.0 - budget
-
-        result = find_optimal_budget(evaluate, max_trials=5, dedupe=False)
-        assert result.evaluations == len(calls)
-        # Without the cache, every non-baseline trial is a fresh call.
-        assert len(calls) == len([t for t in result.trials if t.trial > 0]) + 1
 
 
 class TestOptimizeCli:

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.singled import compute_optimal_singled
 from repro.core.optimizer import (
-    compute_optimal_singled,
     compute_optimal_singler,
     singler_success_rate,
 )
@@ -165,6 +165,22 @@ class TestScalarFallback:
             assert solve(request, "empirical").fit == legacy
         finally:
             store.close()
+
+    def test_fallback_releases_the_map(self, monkeypatch):
+        """The scalar path releases the caller's pages like the sweep
+        does, and the fallback counter records that it ran."""
+        monkeypatch.setattr(
+            vectorized, "_sweep_trajectory", lambda *a, **k: None
+        )
+        rx = np.sort(np.random.default_rng(5).exponential(5.0, 400))
+        released = []
+        with metrics_scope() as registry:
+            fit = compute_optimal_singler_chunked(
+                rx, rx, 0.95, 0.1, release=lambda: released.append(1)
+            )
+        assert released == [1]
+        assert fallbacks(registry) == 1
+        assert fit == compute_optimal_singler(rx, rx, 0.95, 0.1)
 
 
 def fallbacks(registry) -> int:

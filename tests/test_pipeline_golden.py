@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 import scipy
 
+from golden_rows import canonical_row, row_digest, rows_digest
 from repro.experiments import run_experiment
-from repro.pipeline.golden import canonical_row, row_digest, rows_digest
 
 GOLDENS = json.loads(
     (Path(__file__).parent / "goldens" / "experiment_rows_quick.json").read_text()

@@ -5,10 +5,9 @@ import pytest
 
 from repro.core.policies import ImmediateReissue, NoReissue, SingleR
 from repro.distributions import Exponential, Pareto, Uniform
-from repro.simulation.arrivals import PoissonArrivals
-from repro.simulation.calibrate import (
+from repro.simulation.arrivals import (
+    PoissonArrivals,
     arrival_rate_for_utilization,
-    calibrate_arrival_rate,
 )
 from repro.simulation.metrics import (
     LatencySummary,
@@ -128,13 +127,6 @@ class TestCalibration:
             arrival_rate_for_utilization(0.5, 0, 2.0)
         with pytest.raises(ValueError):
             arrival_rate_for_utilization(0.5, 10, 0.0)
-
-    def test_feedback_calibration_converges(self):
-        # util is linear in rate with slope 0.2 up to saturation.
-        rate = calibrate_arrival_rate(
-            lambda r: min(0.2 * r, 0.99), target_utilization=0.5, initial_rate=1.0
-        )
-        assert rate == pytest.approx(2.5, rel=0.05)
 
 
 class TestMetrics:

@@ -1,16 +1,13 @@
 """Edge cases for the thinnest-covered leaves: utilization calibration
-(`simulation/calibrate.py`) and the ASCII chart renderers
-(`viz/ascii_chart.py`) — empty samples, single-point series, and
-non-finite values.
+(`arrival_rate_for_utilization` in `simulation/arrivals.py`) and the
+ASCII chart renderers (`viz/ascii_chart.py`) — empty samples,
+single-point series, and non-finite values.
 """
 
 import numpy as np
 import pytest
 
-from repro.simulation.calibrate import (
-    arrival_rate_for_utilization,
-    calibrate_arrival_rate,
-)
+from repro.simulation.arrivals import arrival_rate_for_utilization
 from repro.viz.ascii_chart import histogram_chart, line_chart, scatter_chart
 
 
@@ -31,48 +28,6 @@ class TestArrivalRateForUtilization:
             arrival_rate_for_utilization(0.3, 10, 0.0)
         with pytest.raises(ValueError, match="mean_service"):
             arrival_rate_for_utilization(0.3, 10, float("nan"))  # nan > 0 is False
-
-
-class TestCalibrateArrivalRate:
-    def test_converges_on_linear_system(self):
-        # Open-loop utilization is linear in rate: measure = rate * 0.4.
-        rate = calibrate_arrival_rate(
-            lambda r: r * 0.4, target_utilization=0.3, initial_rate=0.1
-        )
-        assert rate * 0.4 == pytest.approx(0.3, rel=1e-6)
-
-    def test_zero_measurement_doubles_rate(self):
-        # A dead system (measured utilization 0) must not divide by zero;
-        # the rate escalates geometrically instead.
-        seen = []
-
-        def measure(rate):
-            seen.append(rate)
-            return 0.0
-
-        out = calibrate_arrival_rate(
-            measure, target_utilization=0.5, initial_rate=1.0, iterations=3
-        )
-        assert seen == [1.0, 2.0, 4.0]
-        assert out == 8.0
-
-    def test_damping_still_converges(self):
-        # damping=0.5 halves the log-error per iteration, so 12
-        # iterations shrink the initial 7.5x mismatch below 0.1%.
-        rate = calibrate_arrival_rate(
-            lambda r: r * 0.4,
-            target_utilization=0.3,
-            initial_rate=0.1,
-            iterations=12,
-            damping=0.5,
-        )
-        assert rate * 0.4 == pytest.approx(0.3, rel=1e-3)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="target_utilization"):
-            calibrate_arrival_rate(lambda r: r, 1.0, 1.0)
-        with pytest.raises(ValueError, match="initial_rate"):
-            calibrate_arrival_rate(lambda r: r, 0.5, 0.0)
 
 
 class TestLineChartEdges:
