@@ -192,7 +192,6 @@ class AdaptiveSingleROptimizer:
 
 def adapt_singled(
     system: SystemUnderTest,
-    percentile: float,
     budget: float,
     trials: int = 10,
     learning_rate: float = 0.5,

@@ -154,7 +154,22 @@ def compute_optimal_singler(
     rx = np.sort(np.asarray(rx, dtype=np.float64))
     ry = np.sort(np.asarray(ry, dtype=np.float64))
     check_fit_inputs(rx, ry, percentile, budget)
+    return compute_optimal_singler_sorted(rx, ry, percentile, budget)
 
+
+def compute_optimal_singler_sorted(
+    rx_sorted: np.ndarray,
+    ry_sorted: np.ndarray,
+    percentile: float,
+    budget: float,
+) -> SingleRFit:
+    """The Figure-1 loop of :func:`compute_optimal_singler` over logs
+    that are already sorted float64 and checked (:func:`check_fit_inputs`).
+
+    It reads the logs in place — no sort, no copy, no ``np.quantile``
+    partition — so a caller may hand it a store's ``np.memmap``.
+    """
+    rx, ry = rx_sorted, ry_sorted
     n = rx.size
     i = 0  # index of the next candidate reissue time d (ascending)
     j = n - 1  # index of the current tail-latency candidate t (descending)
@@ -183,7 +198,7 @@ def compute_optimal_singler(
     p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
     q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
     success = singler_success_rate(rx, ry, budget, t, d_star)
-    baseline = float(np.quantile(rx, percentile, method="higher"))
+    baseline = quantile_higher_sorted(rx, percentile)
     return SingleRFit(
         delay=float(d_star),
         prob=float(q),

@@ -59,7 +59,7 @@ def fit_policies_cell(
     if name == "queueing":
         trials = scale.adaptive_trials
         sr = fit_singler_protocol(system, PERCENTILE, budget, trials, rng=rng)
-        sd = fit_singled_protocol(system, PERCENTILE, budget, trials, rng=rng)
+        sd = fit_singled_protocol(system, budget, trials, rng=rng)
         return sr, sd
     if name == "correlated":
         # Collect correlated (X, Y) pairs with an immediate probe policy,

@@ -85,8 +85,10 @@ def run_replications(
     """Seed-paired replications on any :class:`SystemUnderTest`.
 
     Element ``i`` is ``system.run(policy, as_rng(seeds[i]))`` — this is
-    the single choke point the evaluation protocol (``median_tail``, the
-    pipeline executor, the budget search) funnels through.
+    the single choke point the evaluation protocol
+    (:func:`repro.pipeline.cells.evaluate_replications`, reduced by
+    ``median_tail_reduce``), the pipeline executor, the sim engine and
+    the budget search funnel through.
     """
     seeds = list(seeds)
     return _instrumented(

@@ -41,7 +41,12 @@ def _as_log(value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class FitRequest:
-    """What to solve for, plus the evidence to solve it from."""
+    """What to solve for, plus the evidence to solve it from.
+
+    A ``single-d`` fit picks its delay from ``budget`` alone (Eq. 2), so
+    SingleD ignores ``percentile``: it only sets the tail the empirical
+    solvers report for the fitted delay.
+    """
 
     percentile: float = 0.99
     budget: float = 0.05

@@ -291,17 +291,17 @@ def fit_singler_protocol(
 
 def fit_singled_protocol(
     system,
-    percentile: float,
     budget: float,
     trials: int,
     rng: RngLike = None,
 ):
-    """The adaptive SingleD baseline fit (§5.1 budget honouring)."""
+    """The adaptive SingleD baseline fit (§5.1 budget honouring).
+
+    SingleD has no tail objective to fit: its delay only spends the budget.
+    """
     from ..core.adaptive import adapt_singled
 
-    return adapt_singled(
-        system, percentile=percentile, budget=budget, trials=trials, rng=rng
-    )
+    return adapt_singled(system, budget=budget, trials=trials, rng=rng)
 
 
 def _best_trial(result, budget: float):
@@ -329,11 +329,7 @@ def solve_simulated(request: FitRequest) -> FitResult:
     def fit(budget: float):
         if request.family == "single-d":
             return fit_singled_protocol(
-                system,
-                request.percentile,
-                budget,
-                request.trials,
-                rng=as_rng(request.seed),
+                system, budget, request.trials, rng=as_rng(request.seed)
             )
         return fit_singler_protocol(
             system,

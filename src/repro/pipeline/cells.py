@@ -123,8 +123,8 @@ def fit_singled_cell(system, budget: float, scale: "Scale", seed: int):
     from ..optimize import fit_singled_protocol
 
     return fit_singled_protocol(
-        _build(system), percentile=0.99, budget=budget,
-        trials=scale.adaptive_trials, rng=as_rng(seed),
+        _build(system), budget=budget, trials=scale.adaptive_trials,
+        rng=as_rng(seed),
     )
 
 

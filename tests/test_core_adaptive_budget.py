@@ -108,7 +108,7 @@ class TestAdaptiveOptimizer:
 class TestAdaptSingleD:
     def test_measured_rate_approaches_budget(self):
         system = queueing_workload(n_queries=6000, utilization=0.3)
-        pol = adapt_singled(system, percentile=0.95, budget=0.2, trials=6, rng=1)
+        pol = adapt_singled(system, budget=0.2, trials=6, rng=1)
         assert isinstance(pol, SingleD)
         run = system.run(pol, np.random.default_rng(9))
         assert run.reissue_rate == pytest.approx(0.2, abs=0.1)

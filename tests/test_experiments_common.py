@@ -84,7 +84,7 @@ class TestFitProtocol:
     def test_fit_singled_returns_singled(self):
         system = queueing_workload(n_queries=3000, utilization=0.3)
         pol = fit_singled_protocol(
-            system, 0.95, 0.15, TINY.adaptive_trials, rng=np.random.default_rng(0)
+            system, 0.15, TINY.adaptive_trials, rng=np.random.default_rng(0)
         )
         assert isinstance(pol, SingleD)
 

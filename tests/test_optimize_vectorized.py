@@ -9,6 +9,8 @@ adversarial shapes (duplicates, tiny logs, constant logs) where index
 arithmetic earns its keep.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,25 @@ class TestScalarFallback:
         assert fallbacks(registry) == 1
         assert fit == compute_optimal_singler(rx, rx, 0.95, 0.1)
 
+    def test_fallback_reads_a_memmap_in_place(self, monkeypatch, tmp_path):
+        """The scalar fallback loops over the sorted logs it is given: on
+        a memmap it sorts, copies and partitions nothing, so its traced
+        peak stays far below the log's size."""
+        monkeypatch.setattr(
+            vectorized, "_sweep_trajectory", lambda *a, **k: None
+        )
+        rx = np.sort(LogNormal(3.0, 0.8).sample(20_000, np.random.default_rng(8)))
+        oracle = compute_optimal_singler(rx, rx, 0.99, 0.05)
+        mapped = memmap_of(tmp_path, rx)
+        tracemalloc.start()
+        try:
+            fit = compute_optimal_singler_chunked(mapped, mapped, 0.99, 0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mapped.nbytes / 4, f"peak traced allocation {peak} bytes"
+        assert fit == oracle
+
 
 def fallbacks(registry) -> int:
     counter = registry.get("optimize.sweep.fallbacks")
@@ -220,9 +241,23 @@ def tied_logs(seed: int, n: int, shape: str):
     rx = rng.lognormal(1.0, 1.0, n)
     if shape == "rounded":
         rx = np.round(rx)
+    elif shape == "heavy-ties":  # a dozen values, most samples on three
+        rx = np.round(rx / 4.0)
     elif shape == "top-tied":  # Pr(X < max) can fall below p
         rx[rx > np.quantile(rx, 0.7)] = rx.max()
     return np.sort(rx)
+
+
+def memmap_of(directory, sorted_samples):
+    """The same samples as a read-only ``np.memmap``, like a store's."""
+    path = directory / "log.f8"
+    sorted_samples.tofile(path)
+    return np.memmap(path, dtype=np.float64, mode="r")
+
+
+def probes(registry) -> int:
+    counter = registry.get("optimize.sweep.probes")
+    return 0 if counter is None else counter.value
 
 
 class TestBracket:
@@ -309,3 +344,58 @@ class TestBracket:
         finally:
             if store is not None:
                 store.close()
+
+
+class TestLandingSearch:
+    """The false-position search over compacted candidates lands where
+    bisection did, with fewer probes."""
+
+    BISECTION_PROBES = 1_763_780
+
+    @pytest.mark.parametrize("source", ["resident", "memmap"])
+    def test_probe_count_is_pinned_and_halved(self, tmp_path, source):
+        """On a fixed 200k-sample Pareto(1.1) log at (0.99, 0.05) the
+        search makes exactly 820 546 probes. The plain bisection it
+        replaced made 1 763 780 on the same input (one probe per
+        candidate at the top of the t range, then every bisection
+        round); the count must stay at most half of that."""
+        rx = np.sort(Pareto(1.1, 2.0).sample(200_000, np.random.default_rng(7)))
+        oracle = compute_optimal_singler_vectorized(rx, rx, 0.99, 0.05)
+        if source == "memmap":
+            rx = memmap_of(tmp_path, rx)
+        with metrics_scope() as registry:
+            fit = compute_optimal_singler_chunked(rx, rx, 0.99, 0.05)
+        assert fit == oracle
+        assert fallbacks(registry) == 0
+        assert probes(registry) == 820_546
+        assert 2 * probes(registry) <= self.BISECTION_PROBES
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=2_000, max_value=50_000),
+        shape=st.sampled_from(["continuous", "rounded", "heavy-ties", "top-tied"]),
+        k=st.sampled_from([0.5, 0.9, 0.99, 0.999]),
+        budget=st.sampled_from([0.001, 0.05, 0.5, 1.0]),
+        distinct_ry=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_no_fallback_at_false_position_sizes(
+        self, tmp_path_factory, n, shape, k, budget, distinct_ry, seed
+    ):
+        """At sizes where brackets get wide enough for false position,
+        the replay accepts every trajectory: no input reaches the scalar
+        fallback, the memmap sweep equals the resident one, and both
+        equal the scalar loop where that is cheap enough to run."""
+        rx = tied_logs(seed, n, shape)
+        ry = tied_logs(seed + 1, n // 2, "continuous") if distinct_ry else rx
+        mapped_x = memmap_of(tmp_path_factory.mktemp("logs"), rx)
+        mapped_y = mapped_x
+        if distinct_ry:
+            mapped_y = memmap_of(tmp_path_factory.mktemp("logs"), ry)
+        with metrics_scope() as registry:
+            resident = compute_optimal_singler_chunked(rx, ry, k, budget)
+            stored = compute_optimal_singler_chunked(mapped_x, mapped_y, k, budget)
+        assert fallbacks(registry) == 0
+        assert stored == resident
+        if n <= 4_000:
+            assert resident == compute_optimal_singler(rx, ry, k, budget)

@@ -5,10 +5,7 @@ import pytest
 
 from repro.core.policies import ImmediateReissue, NoReissue, SingleR
 from repro.distributions import Exponential, Pareto, Uniform
-from repro.simulation.arrivals import (
-    PoissonArrivals,
-    arrival_rate_for_utilization,
-)
+from repro.simulation.arrivals import PoissonArrivals
 from repro.simulation.metrics import (
     LatencySummary,
     inverse_cdf_series,
@@ -114,19 +111,6 @@ class TestArrivals:
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             PoissonArrivals(0.0)
-
-
-class TestCalibration:
-    def test_rate_formula(self):
-        assert arrival_rate_for_utilization(0.5, 10, 2.0) == pytest.approx(2.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            arrival_rate_for_utilization(0.0, 10, 2.0)
-        with pytest.raises(ValueError):
-            arrival_rate_for_utilization(0.5, 0, 2.0)
-        with pytest.raises(ValueError):
-            arrival_rate_for_utilization(0.5, 10, 0.0)
 
 
 class TestMetrics:
