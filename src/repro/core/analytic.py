@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..distributions.base import Distribution
 from .policies import SingleD, SingleR
@@ -81,6 +80,9 @@ def optimal_singler(
     lo = cands[max(best_i - 1, 0)]
     hi = cands[min(best_i + 1, cands.size - 1)]
     if hi > lo:
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy import optimize
+
         res = optimize.minimize_scalar(
             lambda d: singler_tail_for_delay(
                 d, primary, reissue, percentile, budget, t_hi

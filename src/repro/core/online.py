@@ -28,7 +28,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ..distributions.base import RngLike
 from .optimizer import SingleRFit, discrete_cdf
@@ -124,6 +123,9 @@ class DriftDetector:
         if self._reference is None:
             self._reference = sample.copy()
             return False
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy import stats
+
         self.last_statistic = float(
             stats.ks_2samp(self._reference, sample).statistic
         )

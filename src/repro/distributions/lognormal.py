@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf, erfinv
 
 from .base import Distribution, RngLike, as_rng, validate_positive
 
@@ -32,6 +31,9 @@ class LogNormal(Distribution):
         return float((np.exp(s2) - 1.0) * np.exp(2.0 * self.mu + s2))
 
     def cdf(self, x) -> np.ndarray:
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy.special import erf
+
         x = np.asarray(x, dtype=np.float64)
         out = np.zeros_like(x)
         pos = x > 0.0
@@ -40,6 +42,9 @@ class LogNormal(Distribution):
         return out
 
     def quantile(self, p) -> np.ndarray:
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy.special import erfinv
+
         p = np.asarray(p, dtype=np.float64)
         if np.any((p < 0.0) | (p > 1.0)):
             raise ValueError("quantile probabilities must be in [0, 1]")

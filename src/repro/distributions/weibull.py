@@ -8,7 +8,6 @@ heavier) and is a standard sensitivity axis for reissue-policy studies.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .base import Distribution, RngLike, as_rng, validate_positive
 
@@ -28,9 +27,14 @@ class Weibull(Distribution):
         return self.scale * rng.weibull(self.shape, size=n)
 
     def mean(self) -> float:
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy.special import gamma as gamma_fn
+
         return float(self.scale * gamma_fn(1.0 + 1.0 / self.shape))
 
     def variance(self) -> float:
+        from scipy.special import gamma as gamma_fn
+
         g1 = gamma_fn(1.0 + 1.0 / self.shape)
         g2 = gamma_fn(1.0 + 2.0 / self.shape)
         return float(self.scale**2 * (g2 - g1**2))

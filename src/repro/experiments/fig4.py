@@ -16,7 +16,6 @@ correlation and clipping happen at render time.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from ..pipeline import SpecBuilder, run_pipeline
 from ..scenarios.registry import make_policy, system_spec_ref
@@ -52,6 +51,9 @@ def build_spec(scale: Scale, seed: int):
     }
 
     def render(rs) -> ExperimentResult:
+        # Lazy: importing serving or the CLI must load no scipy.
+        from scipy import stats
+
         clipped = {}
         corr = {}
         for panel, handle in pairs.items():

@@ -258,6 +258,9 @@ def _sweep_trajectory(rx, ry, percentile, budget, chunk, release):
         if stopped:
             break
         carry = int(lp[-1])
+        # Free this chunk's trajectory before the next chunk's search
+        # allocates its own.
+        del land, lp, j_before, violated, jb, ja, moved
 
     return d_star, float(rx[j_final])
 

@@ -12,6 +12,12 @@ built as an asyncio runtime instead of a simulator event queue:
 5. enforce an optional per-request deadline and a concurrency-limit
    semaphore (admission control) around the whole race.
 
+A request with nothing to race — no stage timer can fire (its plan is
+empty, or ``time_scale <= 0``) and no deadline applies — skips steps 2–4
+and awaits its one attempt in its own task: no attempt task, wait set or
+cancel bookkeeping, the same outcome. Cancelling a request, on either
+path, cancels and reaps every attempt it started.
+
 Latencies are accounted in *model milliseconds*: a completed request's
 latency is ``dispatch_offset + backend latency`` of the winning attempt,
 so recorded numbers match the paper's analytic model ``min(X, d + Y)``
@@ -212,19 +218,38 @@ class HedgedClient:
     async def _race(
         self, query_id: int, plan: tuple[float, ...]
     ) -> RequestOutcome:
-        loop = asyncio.get_running_loop()
         scale = self.backend.time_scale
+        tracer = get_tracer()
+        # At time_scale <= 0 every model duration collapses to zero wall
+        # time, so stage timers and deadlines are meaningless: a timer
+        # would expire "instantly", dispatching a reissue on virtually
+        # every coin-success regardless of d and inflating the measured
+        # spend from q*Pr(X>d) to ~q, and a deadline would skip every
+        # stage. Both are off there (throughput-benchmark mode). Such a
+        # request, like one with an empty plan and no deadline, has
+        # nothing to race, so its one attempt is awaited in this task:
+        # the outcome, counters and errors of a race with a lone
+        # primary, without its task, wait set and cancel bookkeeping.
+        if scale <= 0.0 or (not plan and self.deadline_ms is None):
+            coro = self.backend.request(query_id, is_reissue=False)
+            if tracer.enabled:
+                coro = self._traced_attempt(tracer, coro, False, 0.0)
+            resp = await coro
+            return RequestOutcome(
+                query_id=query_id,
+                latency_ms=float(0.0 + resp.latency_ms),
+                winner="reissue" if resp.is_reissue else "primary",
+                n_planned=len(plan),
+                n_reissues=0,
+                cancelled_attempts=0,
+                response=resp,
+            )
+        loop = asyncio.get_running_loop()
         t0 = loop.time()
-        # At time_scale == 0 every model duration collapses to zero wall
-        # time, so a wall-clock deadline is meaningless (it would expire
-        # instantly and skip every stage); deadlines are disabled there.
         deadline_wall = (
-            None
-            if self.deadline_ms is None or scale <= 0.0
-            else t0 + self.deadline_ms * scale
+            None if self.deadline_ms is None else t0 + self.deadline_ms * scale
         )
         offsets: dict[asyncio.Task, float] = {}
-        tracer = get_tracer()
 
         def launch(offset: float, is_reissue: bool) -> None:
             coro = self.backend.request(query_id, is_reissue=is_reissue)
@@ -265,22 +290,23 @@ class HedgedClient:
                     else:
                         errors.append(task.exception())
 
-        # At time_scale <= 0 the stage timers are as meaningless as the
-        # deadline: every timer would expire "instantly", dispatching a
-        # reissue on virtually every coin-success regardless of d and
-        # inflating the measured spend from q*Pr(X>d) to ~q. Hedging
-        # timers are disabled there (throughput-benchmark mode).
-        for d in plan if scale > 0.0 else ():
-            if deadline_wall is not None and t0 + d * scale >= deadline_wall:
-                break  # this stage would fire after the deadline
-            await wait_until(t0 + d * scale)
-            if responded:
-                break
-            launch(d, is_reissue=True)
-            n_reissues += 1
+        try:
+            for d in plan:
+                if deadline_wall is not None and t0 + d * scale >= deadline_wall:
+                    break  # this stage would fire after the deadline
+                await wait_until(t0 + d * scale)
+                if responded:
+                    break
+                launch(d, is_reissue=True)
+                n_reissues += 1
 
-        if not responded:
-            await wait_until(deadline_wall)
+            if not responded:
+                await wait_until(deadline_wall)
+        except asyncio.CancelledError:
+            # The request itself was cancelled: cancel and reap its
+            # attempts too, so none outlives it.
+            await self._cancel_losers(pending)
+            raise
 
         if not responded:
             cancelled = await self._cancel_losers(pending)

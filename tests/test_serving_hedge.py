@@ -362,3 +362,131 @@ class TestServe:
         client.tuner = None  # detaching unlocks manual pinning
         client.policy = SingleD(5.0)
         assert client.policy == SingleD(5.0)
+
+
+class TwoPointBackend(SimulatedBackend):
+    """Seeded service times that are either ``fast_ms`` or ``slow_ms``,
+    far from any stage delay between them, so every race is decided by
+    the model and not by scheduler jitter."""
+
+    def __init__(self, fast_ms=1.0, slow_ms=300.0, p_slow=0.3, **kw):
+        super().__init__(**kw)
+        self.fast_ms, self.slow_ms, self.p_slow = fast_ms, slow_ms, p_slow
+
+    def service_time_ms(self, query_id, is_reissue):
+        return self.slow_ms if self._rng.random() < self.p_slow else self.fast_ms
+
+
+class TestInlineAttempt:
+    """A request with nothing to race (empty plan, no deadline) awaits its
+    one attempt in its own task; it must be indistinguishable from the
+    race path, which a (never reached) deadline forces."""
+
+    @staticmethod
+    def serve_sequentially(deadline_ms, policy, n=40):
+        be = TwoPointBackend(time_scale=1e-4, rng=11)
+        client = HedgedClient(be, policy, deadline_ms=deadline_ms, rng=5)
+
+        async def go():
+            return [await client.request(i) for i in range(n)]
+
+        outcomes = run(go())
+        return outcomes, (be.started, be.completed, be.cancelled)
+
+    @pytest.mark.parametrize(
+        "policy", [NoReissue(), SingleR(50.0, 0.5)], ids=["none", "single-r"]
+    )
+    def test_same_outcomes_and_counters_as_the_race(self, policy):
+        inline, inline_counts = self.serve_sequentially(None, policy)
+        raced, raced_counts = self.serve_sequentially(1e9, policy)
+        assert inline == raced
+        assert inline_counts == raced_counts
+        assert any(o.n_planned == 0 for o in inline)
+        if isinstance(policy, SingleR):
+            # Both paths were exercised: some requests hedged and won.
+            assert any(o.winner == "reissue" for o in inline)
+            assert inline_counts[2] > 0
+
+    def test_attempt_runs_in_the_request_task(self):
+        tasks = []
+
+        class TaskRecordingBackend(FixedBackend):
+            async def request(self, query_id, *, is_reissue=False):
+                tasks.append(asyncio.current_task())
+                return await super().request(query_id, is_reissue=is_reissue)
+
+        async def go(client):
+            await client.request(0)
+            return asyncio.current_task()
+
+        inline = HedgedClient(TaskRecordingBackend(10.0, 1.0), NoReissue(), rng=1)
+        assert run(go(inline)) is tasks[0]
+        raced = HedgedClient(
+            TaskRecordingBackend(10.0, 1.0), NoReissue(), deadline_ms=1e9, rng=1
+        )
+        assert run(go(raced)) is not tasks[1]
+
+    def test_inline_attempt_span_is_a_child_of_the_request_span(self):
+        from repro.obs import tracing
+
+        be = FixedBackend(primary_ms=10.0, reissue_ms=1.0)
+        client = HedgedClient(be, NoReissue(), rng=1)
+        with tracing() as tracer:
+            run(client.serve(3))
+        requests = {
+            s.span_id: s for s in tracer.spans if s.name == "serving.request"
+        }
+        attempts = [
+            s for s in tracer.spans if s.name == "serving.attempt.primary"
+        ]
+        assert len(requests) == len(attempts) == 3
+        assert {s.parent_id for s in attempts} == set(requests)
+        assert all(s.attrs["latency_ms"] == 10.0 for s in attempts)
+
+    def test_zero_time_scale_takes_the_inline_path_with_a_plan(self):
+        be = FixedBackend(primary_ms=50.0, reissue_ms=1.0, time_scale=0.0)
+        client = HedgedClient(be, SingleD(5.0), deadline_ms=10.0, rng=1)
+        out = run(client.request(0))
+        assert out.winner == "primary" and out.latency_ms == 50.0
+        assert out.n_planned == 1 and out.n_reissues == 0
+        assert be.started == be.completed == 1
+
+    def test_failing_attempt_raises_its_error(self):
+        be = FlakyBackend(primary_ms=10.0, reissue_ms=1.0, fail_primary=True)
+        client = HedgedClient(be, NoReissue(), rng=1)
+        with pytest.raises(ConnectionError):
+            run(client.request(0))
+        assert be.in_flight == 0 and client.in_flight == 0
+
+
+class TestRequestCancellation:
+    """Cancelling a request cancels and reaps every attempt it started,
+    on the inline path and in the race alike."""
+
+    @pytest.mark.parametrize(
+        "policy, deadline_ms, attempts",
+        [
+            (NoReissue(), None, 1),  # inline
+            (NoReissue(), 1e9, 1),  # race with a lone primary
+            (SingleR(1.0, 1.0), None, 2),  # race with a reissue in flight
+        ],
+        ids=["inline", "race-primary", "race-hedged"],
+    )
+    def test_cancel_mid_request_leaves_no_attempt_running(
+        self, policy, deadline_ms, attempts
+    ):
+        be = FixedBackend(primary_ms=1000.0, reissue_ms=1000.0, time_scale=1e-3)
+        client = HedgedClient(be, policy, deadline_ms=deadline_ms, rng=1)
+
+        async def go():
+            task = asyncio.create_task(client.request(0))
+            await asyncio.sleep(0.05)  # 50 model ms: past the 1 ms stage
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            # Checked at once: asyncio.run would cancel leaked attempts
+            # on the way out and hide them.
+            return be.started, be.in_flight, be.cancelled, client.in_flight
+
+        assert run(go()) == (attempts, 0, attempts, 0)
+        assert be.completed == 0

@@ -332,3 +332,28 @@ def test_constructor_validation():
         ProcessFleet(1, scenario, transport="smoke-signal")
     with pytest.raises(ValueError, match="tuned_shard"):
         ProcessFleet(1, scenario, autotune={}, tuned_shard=3)
+
+
+def test_serving_import_path_loads_no_scipy():
+    """A worker process imports ``repro.serving.procfleet`` at spawn; scipy
+    on that path would cost about a second and 60 MB per worker for code
+    no served request calls. Run in a fresh interpreter, since this one
+    has long since imported scipy elsewhere."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys\n"
+        "import repro.serving.procfleet, repro.optimize, repro.main\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, timeout=60, env=env,
+    )
+    assert out.stdout.strip() == "[]", out.stdout
