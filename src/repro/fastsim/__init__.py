@@ -15,9 +15,10 @@ cheap:
   departure per server;
 * per-query Python objects (``Request``/``Server``) are replaced by flat
   contiguous state — lists indexed by server id on the ``numpy`` tier,
-  structured arrays with no Python objects at all on the optional
-  numba-``compiled`` tier (:mod:`repro.fastsim._core`, the ``[fast]``
-  extra), behind a ``compiled`` → ``numpy`` → ``reference`` dispatcher
+  structured arrays with no Python objects at all on the ``compiled``
+  tier (``_core.c``, built once per machine with the system ``cc`` and
+  loaded with ctypes; :mod:`repro.fastsim._core` is its Python twin),
+  behind a ``compiled`` → ``numpy`` → ``reference`` dispatcher
   (:mod:`repro.fastsim.kernel`, overridable via ``REPRO_KERNEL``).
 
 Every tier is bit-for-bit equivalent to

@@ -4,11 +4,12 @@
 flat contiguous arrays and scalars — per-server occupancy vectors, a
 pooled linked-list request queue, an array-backed departure heap — with
 no Python containers, attribute lookups, or allocation in the loop body.
-It is written in the numba-``@njit``-compatible subset of Python/NumPy on
-purpose: :mod:`repro.fastsim._compiled` compiles this exact function with
-``numba.njit(cache=True)`` to produce the ``compiled`` kernel tier, and
-the same source runs uncompiled as the ``interpreted`` debug tier, so the
-bits the equivalence suite certifies are the bits the compiled tier ships.
+It is the readable twin of ``fastsim/_core.c``, the ``compiled`` kernel
+tier (built and loaded by :mod:`repro.fastsim._ccore`): the C port
+follows this function statement for statement, so a change here is the
+same change there. Run under the interpreter it is the ``interpreted``
+debug tier, and the equivalence suite holds both to the reference loop
+bit for bit.
 
 Event ordering and floating-point accumulation mirror
 :func:`repro.simulation.engine.simulate_cluster_reference` statement for

@@ -7,16 +7,17 @@ lower sequence numbers than any departure, so they win time ties),
 identical floating-point accumulation order for the busy-time and
 result arrays. Speed comes from structure, never from approximation.
 
-Three public tiers, selected automatically (``compiled`` when numba is
-installed, else ``numpy``) and overridable via the ``REPRO_KERNEL``
-environment variable or the ``tier=`` argument:
+Three public tiers, selected automatically (``compiled`` when a C
+compiler is found and the library builds or loads, else ``numpy``) and
+overridable via the ``REPRO_KERNEL`` environment variable or the
+``tier=`` argument:
 
-* ``compiled`` — the structured-array core
-  (:func:`repro.fastsim._core.simulate_core`: flat contiguous arrays for
+* ``compiled`` — the structured-array core (flat contiguous arrays for
   server occupancy, pooled linked-list queues, an array-backed departure
-  heap — no Python objects in the loop) JIT-compiled by numba
-  ``@njit(cache=True)``. Requires the ``[fast]`` extra; requesting it
-  without numba raises with an install hint rather than silently
+  heap — no Python objects in the loop) as C: ``fastsim/_core.c``, built
+  once per machine with the system ``cc`` into ``$XDG_CACHE_HOME/repro/``
+  and loaded with ctypes (:mod:`repro.fastsim._ccore`). Requesting it
+  when it cannot load raises with the reason rather than silently
   downgrading. Needs statically dispatchable replications (see below).
 * ``numpy`` — the mandatory pure-Python/NumPy tier: the same pre-drawn
   inputs and array-built static schedule consumed by a scalar loop over
@@ -28,9 +29,10 @@ environment variable or the ``tier=`` argument:
   ``prioritized-fifo``, ``prioritized-lifo``) always take this path,
   whatever tier was requested.
 
-A fourth value, ``interpreted``, runs the compiled tier's exact source
-uncompiled — never auto-selected, but it lets the equivalence suite
-certify the array core bit-for-bit on machines without numba.
+A fourth value, ``interpreted``, runs
+:func:`repro.fastsim._core.simulate_core` — the readable Python twin of
+``_core.c`` — under the interpreter. It is never auto-selected; the
+equivalence suite certifies it next to ``compiled``.
 
 Structural fallbacks (unspecialized discipline → ``reference``,
 backlog-dependent balancer → ``numpy``) are silent per replication but
@@ -65,8 +67,7 @@ from ..simulation.queues import (
     PrioritizedLifoQueue,
     make_discipline,
 )
-from . import _core
-from ._compiled import HAVE_NUMBA, INSTALL_HINT, NUMBA_VERSION, compiled_core
+from . import _ccore, _core
 
 #: Queue modes the kernel specializes (exact class match — subclasses may
 #: override semantics and must take the reference path).
@@ -77,7 +78,7 @@ _QUEUE_MODES = {
 }
 
 #: Valid kernel tiers, fastest first. ``interpreted`` is the debug tier:
-#: the compiled core's source run without numba (opt-in only).
+#: the compiled core's Python twin under the interpreter (opt-in only).
 TIERS = ("compiled", "numpy", "interpreted", "reference")
 
 _tier_counts = {tier: 0 for tier in TIERS}
@@ -94,12 +95,17 @@ def tier_counts() -> dict[str, int]:
 
 
 def kernel_info() -> dict:
-    """The tier-selection facts: availability, default, numba version."""
+    """The tier-selection facts: the compiler found, the default tier.
+
+    Builds nothing: ``default_tier`` reads ``compiled`` while a compiler
+    is found and no build has failed in this process. ``numba_version``
+    is always ``None``; records written before the C tier carry it.
+    """
     return {
         "tiers": list(TIERS),
-        "numba_available": HAVE_NUMBA,
-        "numba_version": NUMBA_VERSION,
-        "default_tier": "compiled" if HAVE_NUMBA else "numpy",
+        "compiler": _ccore.find_compiler(),
+        "numba_version": None,
+        "default_tier": "compiled" if _ccore.selectable() else "numpy",
         "env_override": os.environ.get("REPRO_KERNEL") or None,
     }
 
@@ -110,8 +116,8 @@ def resolve_tier(tier: str | None = None) -> str | None:
     Returns the requested tier name, or ``None`` for automatic selection
     (no ``tier`` argument and ``REPRO_KERNEL`` unset, empty, or
     ``auto``). Raises ``ValueError`` for unknown names and
-    ``RuntimeError`` for ``compiled`` without numba — an explicit request
-    must never silently downgrade.
+    ``RuntimeError`` when ``compiled`` cannot load (no compiler, a failed
+    build) — an explicit request must never silently downgrade.
     """
     if tier is None:
         tier = os.environ.get("REPRO_KERNEL", "").strip().lower() or None
@@ -122,11 +128,15 @@ def resolve_tier(tier: str | None = None) -> str | None:
             f"unknown kernel tier {tier!r} (from REPRO_KERNEL or tier=); "
             f"expected one of {list(TIERS)} or 'auto'"
         )
-    if tier == "compiled" and not HAVE_NUMBA:
-        raise RuntimeError(
-            f"REPRO_KERNEL=compiled requested but numba is not installed; "
-            f"{INSTALL_HINT}"
-        )
+    if tier == "compiled":
+        try:
+            _ccore.load()
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"REPRO_KERNEL=compiled requested but {exc}; install a C "
+                f"compiler as `cc`, or unset REPRO_KERNEL / set "
+                f"REPRO_KERNEL=numpy to use the pure-NumPy tier"
+            ) from None
     return tier
 
 
@@ -155,9 +165,9 @@ def simulate_replication_tiered(
     """Run one replication; returns ``(result, executed_tier)``.
 
     ``tier`` (or ``REPRO_KERNEL``) pins a tier; ``None`` selects
-    ``compiled`` when numba is installed, else ``numpy``. Two structural
-    fallbacks can downgrade a pinned tier — an unspecialized queue
-    discipline always runs ``reference``, and a backlog-dependent
+    ``compiled`` when the C library builds or loads, else ``numpy``. Two
+    structural fallbacks can downgrade a pinned tier — an unspecialized
+    queue discipline always runs ``reference``, and a backlog-dependent
     balancer cannot run the static-dispatch array core so ``compiled`` /
     ``interpreted`` degrade to ``numpy`` — which is why the *executed*
     tier is returned (and counted in :func:`tier_counts`).
@@ -171,21 +181,22 @@ def simulate_replication_tiered(
         executed = "reference"
         result = simulate_cluster_reference(config, policy, rng, inputs=inputs)
     else:
-        want_array = requested in ("compiled", "interpreted") or (
-            requested is None and HAVE_NUMBA
-        )
-        sids = _static_sids(config, inputs) if want_array else None
-        if sids is not None:
-            executed = "interpreted" if requested == "interpreted" else "compiled"
-            core = (
-                _core.simulate_core
-                if executed == "interpreted"
-                else compiled_core()
-            )
-            result = _run_array_core(config, inputs, mode, sids, core)
+        sids = None if requested == "numpy" else _static_sids(config, inputs)
+        if sids is None:
+            executed, core = "numpy", None
+        elif requested == "interpreted":
+            executed, core = "interpreted", _core.simulate_core
+        elif requested == "compiled" or _ccore.available():
+            # Automatic selection builds the library here, on the first
+            # call that needs it; a failed build keeps this process on
+            # the numpy tier without trying again.
+            executed, core = "compiled", _ccore.simulate_core
         else:
-            executed = "numpy"
+            executed, core = "numpy", None
+        if core is None:
             result = _run_numpy(config, inputs, rng, mode)
+        else:
+            result = _run_array_core(config, inputs, mode, sids, core)
     _tier_counts[executed] += 1
     return result, executed
 
@@ -239,7 +250,7 @@ def _static_sids(
     return ``None`` — they must be consulted per event.
     """
     if inputs.sids is not None:
-        return np.ascontiguousarray(inputs.sids, dtype=np.int64)
+        return inputs.sids
     # Exact-type check: a RoundRobinBalancer subclass may override choose().
     if type(inputs.balancer) is RoundRobinBalancer:
         total = config.n_queries + int(inputs.plan_qids.size)
@@ -274,9 +285,9 @@ def _run_array_core(
         ev_time,
         ev_check,
         ev_payload,
-        np.ascontiguousarray(inputs.x, dtype=np.float64),
-        np.ascontiguousarray(inputs.plan_qids, dtype=np.int64),
-        np.ascontiguousarray(inputs.plan_y, dtype=np.float64),
+        inputs.x,
+        inputs.plan_qids,
+        inputs.plan_y,
         sids,
         config.n_servers,
         mode,

@@ -9,15 +9,14 @@ queue discipline, load balancer, cancellation, rate spec, and the
 
 The whole matrix runs once per kernel tier (an autouse fixture pins
 ``REPRO_KERNEL``): the mandatory ``numpy`` tier, the ``interpreted``
-tier (the compiled tier's structured-array core run without numba — so
-the core's exact source is certified even on machines without numba),
-and the numba-``compiled`` tier, skip-marked when numba is absent.
+tier (``fastsim/_core.py``, the structured-array core in Python) and the
+``compiled`` tier (its C port, ``fastsim/_core.c``). ``TestEdgeCases``
+also holds ``compiled`` and ``interpreted`` to each other on the event
+orderings most likely to tell two ports apart.
 """
 
 import numpy as np
 import pytest
-
-from repro.fastsim._compiled import HAVE_NUMBA
 
 from repro.core.policies import (
     ImmediateReissue,
@@ -26,10 +25,15 @@ from repro.core.policies import (
     SingleD,
     SingleR,
 )
-from repro.distributions import Exponential, Pareto
-from repro.fastsim import ReplicationSpec, simulate_batch, simulate_replication
+from repro.distributions import Deterministic, Exponential, Pareto
+from repro.fastsim import (
+    ReplicationSpec,
+    simulate_batch,
+    simulate_replication,
+    simulate_replication_tiered,
+)
 from repro.fastsim.kernel import queue_mode
-from repro.simulation.arrivals import PoissonArrivals
+from repro.simulation.arrivals import PoissonArrivals, TraceArrivals
 from repro.simulation.engine import (
     ClusterConfig,
     simulate_cluster,
@@ -40,16 +44,7 @@ from repro.simulation.workloads import ServiceModel
 
 @pytest.fixture(
     autouse=True,
-    params=[
-        "numpy",
-        "interpreted",
-        pytest.param(
-            "compiled",
-            marks=pytest.mark.skipif(
-                not HAVE_NUMBA, reason="numba not installed ([fast] extra)"
-            ),
-        ),
-    ],
+    params=["numpy", "interpreted", "compiled"],
 )
 def kernel_tier(request, monkeypatch):
     """Pin the kernel tier for every test in this module via the same
@@ -241,3 +236,70 @@ class TestDeterminism:
         a = simulate_cluster(cfg, NoReissue(), 1)
         b = simulate_cluster(cfg, NoReissue(), 2)
         assert not np.array_equal(a.latencies, b.latencies)
+
+
+class TestEdgeCases:
+    """Orderings where a port could drift from its twin: the fixture's
+    tier must equal the reference, and ``compiled`` must equal
+    ``interpreted``, bit for bit."""
+
+    def check(self, tier, cfg, policy, seed=41):
+        ref = simulate_cluster_reference(cfg, policy, seed)
+        run, executed = simulate_replication_tiered(cfg, policy, seed)
+        assert executed == tier
+        assert_bitwise_equal(run, ref)
+        compiled, _ = simulate_replication_tiered(cfg, policy, seed, tier="compiled")
+        interpreted, _ = simulate_replication_tiered(
+            cfg, policy, seed, tier="interpreted"
+        )
+        assert_bitwise_equal(compiled, interpreted)
+        return run
+
+    def test_one_server(self, kernel_tier):
+        self.check(kernel_tier, make_config(n_servers=1, n_queries=800), SingleR(0.5, 0.4))
+
+    def test_tied_arrivals(self, kernel_tier):
+        # Four queries share every timestamp: insertion order breaks ties.
+        stamps = np.repeat(np.arange(400) * 2.0, 4)
+        cfg = make_config(arrivals=TraceArrivals(stamps), n_queries=1600)
+        self.check(kernel_tier, cfg, SingleR(0.5, 0.5))
+
+    def test_tied_departures(self, kernel_tier):
+        # Constant service on a constant clock: departures tie with each
+        # other and with arrivals, so the (time, seq) order decides.
+        cfg = make_config(
+            service_model=ServiceModel(Deterministic(1.0)),
+            arrivals=TraceArrivals(np.repeat(np.arange(500) * 0.5, 2)),
+            n_queries=1000,
+            discipline="prioritized-fifo",
+        )
+        self.check(kernel_tier, cfg, SingleD(1.0))
+
+    def test_every_reissue_cancelled(self, kernel_tier):
+        # One server, immediate reissues: each copy queues behind its own
+        # primary and is cancelled when it reaches the server.
+        cfg = make_config(
+            n_servers=1,
+            arrivals=PoissonArrivals(0.3),
+            cancel_queued=True,
+            cancel_overhead=0.05,
+        )
+        run = self.check(kernel_tier, cfg, ImmediateReissue(1))
+        assert run.meta["n_cancelled"] == run.meta["n_reissues_total"] > 0
+
+    def test_zero_cancel_overhead(self, kernel_tier):
+        cfg = make_config(cancel_queued=True, cancel_overhead=0.0)
+        run = self.check(kernel_tier, cfg, SingleR(0.2, 0.9))
+        assert run.meta["n_cancelled"] > 0
+
+    def test_empty_plan(self, kernel_tier):
+        run = self.check(kernel_tier, make_config(cancel_queued=True), NoReissue())
+        assert run.meta["n_reissues_total"] == 0
+
+    def test_prioritized_lifo_near_saturation(self, kernel_tier):
+        cfg = make_config(
+            arrivals=None,
+            target_utilization=0.95,
+            discipline="prioritized-lifo",
+        )
+        self.check(kernel_tier, cfg, SingleR(0.5, 0.5))

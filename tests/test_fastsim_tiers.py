@@ -3,9 +3,9 @@
 Four contracts:
 
 * **Selection** — ``REPRO_KERNEL`` / ``tier=`` pick a tier; invalid
-  names fail loudly; ``compiled`` without numba raises with an install
-  hint instead of silently downgrading; automatic selection prefers
-  ``compiled`` exactly when numba is importable.
+  names fail loudly; ``compiled`` without a working C compiler raises
+  with the reason instead of silently downgrading; automatic selection
+  prefers ``compiled`` exactly when the C library builds or loads.
 * **Structural fallbacks are visible** — unspecialized disciplines run
   ``reference``, backlog-dependent balancers degrade the array core to
   ``numpy``, and both show up in the executed-tier return value, the
@@ -14,9 +14,12 @@ Four contracts:
 * **Property** — for random ``ClusterConfig``/policy draws, every tier
   is bit-for-bit equal to ``simulate_cluster_reference`` (the directed
   matrix lives in ``test_fastsim_equivalence.py``).
-* **Packaging** — the ``[fast]`` extra is declared but optional: this
-  whole file passes with or without numba installed.
+* **No compiler** — with the compiler lookup patched to find nothing,
+  or to a compiler that fails, everything runs on ``numpy``; the build
+  cache itself is tested in ``test_fastsim_ccore.py``.
 """
+
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,7 +44,7 @@ from repro.fastsim import (
     simulate_replication_tiered,
     tier_counts,
 )
-from repro.fastsim._compiled import HAVE_NUMBA
+from repro.fastsim import _ccore
 from repro.obs import get_metrics, metrics_scope, tracing
 from repro.scenarios import Session
 from repro.simulation.arrivals import PoissonArrivals
@@ -78,10 +81,32 @@ def assert_bitwise_equal(a, b):
     assert a.meta == b.meta
 
 
-#: Tiers testable on this machine (compiled joins when numba is there).
-TESTABLE_TIERS = ("numpy", "interpreted") + (
-    ("compiled",) if HAVE_NUMBA else ()
-)
+TESTABLE_TIERS = ("compiled", "numpy", "interpreted")
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A process whose compiler lookup finds nothing and which has not
+    loaded the library yet (restored after the test)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_ccore, "_function", None)
+    monkeypatch.setattr(_ccore, "_unavailable", None)
+    monkeypatch.setattr(_ccore, "find_compiler", lambda: None)
+
+
+@pytest.fixture
+def failing_compiler(no_compiler, monkeypatch, tmp_path):
+    """As ``no_compiler``, but the lookup finds a compiler that exits 1
+    and appends a line to ``cc.calls`` each time it runs."""
+    cc = tmp_path / "bin" / "cc"
+    cc.parent.mkdir()
+    cc.write_text(
+        "#!/bin/sh\necho call >> \"$0.calls\"\n"
+        "echo 'cc: fatal error: broken' >&2\nexit 1\n"
+    )
+    cc.chmod(0o755)
+    monkeypatch.setattr(_ccore, "find_compiler", lambda: str(cc))
+    return cc
 
 
 class TestSelection:
@@ -112,14 +137,20 @@ class TestSelection:
         with pytest.raises(ValueError, match="unknown kernel tier 'cython'"):
             simulate_replication_tiered(make_config(), NoReissue(), 1)
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_compiled_without_numba_is_actionable(self, monkeypatch):
+    def test_compiled_without_compiler_is_actionable(self, monkeypatch, no_compiler):
         # The explicit request must never silently downgrade.
         monkeypatch.setenv("REPRO_KERNEL", "compiled")
-        with pytest.raises(RuntimeError, match=r"repro-reissue\[fast\]"):
+        with pytest.raises(RuntimeError, match=r"`cc` is not on PATH"):
             simulate_replication_tiered(make_config(), NoReissue(), 1)
 
-    @pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
+    def test_compiled_with_failing_compiler_is_actionable(
+        self, monkeypatch, failing_compiler
+    ):
+        monkeypatch.setenv("REPRO_KERNEL", "compiled")
+        with pytest.raises(RuntimeError, match=r"exited with status 1.*broken"):
+            simulate_replication_tiered(make_config(), NoReissue(), 1)
+        assert not any((failing_compiler.parents[1] / "cache").rglob("*.so"))
+
     def test_auto_prefers_compiled(self, monkeypatch):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         _, executed = simulate_replication_tiered(
@@ -127,19 +158,40 @@ class TestSelection:
         )
         assert executed == "compiled"
 
-    @pytest.mark.skipif(HAVE_NUMBA, reason="numba is installed")
-    def test_auto_falls_back_to_numpy(self, monkeypatch):
+    def test_auto_falls_back_to_numpy(self, monkeypatch, no_compiler):
         monkeypatch.delenv("REPRO_KERNEL", raising=False)
         _, executed = simulate_replication_tiered(
             make_config(), SingleR(0.5, 0.4), 7
         )
         assert executed == "numpy"
+        assert kernel_info()["default_tier"] == "numpy"
 
-    def test_kernel_info_shape(self):
+    def test_auto_falls_back_to_numpy_when_build_fails(
+        self, monkeypatch, failing_compiler
+    ):
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        for seed in (7, 8):
+            _, executed = simulate_replication_tiered(
+                make_config(), SingleR(0.5, 0.4), seed
+            )
+            assert executed == "numpy"
+        # One build attempt per process: the failure is remembered.
+        assert Path(f"{failing_compiler}.calls").read_text() == "call\n"
+        assert kernel_info()["default_tier"] == "numpy"
+        assert kernel_info()["compiler"] == str(failing_compiler)
+
+    def test_kernel_info_shape(self, no_compiler):
         info = kernel_info()
         assert info["tiers"] == list(TIERS)
-        assert info["numba_available"] is HAVE_NUMBA
-        assert info["default_tier"] == ("compiled" if HAVE_NUMBA else "numpy")
+        assert info["compiler"] is None
+        assert info["numba_version"] is None
+        assert info["default_tier"] == "numpy"
+
+    def test_kernel_info_with_compiler(self):
+        info = kernel_info()
+        assert info["compiler"] is not None
+        assert info["compiler"] == _ccore.find_compiler()
+        assert info["default_tier"] == "compiled"
 
 
 class TestStructuralFallbacks:
