@@ -10,21 +10,29 @@ monotone cursors — the delay index ``i`` rises, the tail index ``j`` falls
 — so everything a probe needs is kept incrementally: ``Pr(X < d)`` changes
 once per ``i``, ``Pr(X < t)`` once per change of ``j``, and as ``t`` falls
 each pair that newly satisfies ``X > t`` has its reissue time inserted
-into one sorted Python list, where ``|{X > t, Y < t - d}|`` is a single
-``bisect``. A probe therefore costs a bisect and a handful of float
+into one sorted array, where ``|{X > t, Y < t - d}|`` is a single binary
+search. A probe therefore costs a binary search and a handful of float
 operations, in the same IEEE-754 order as evaluating each term from
 scratch — the fit is bit-for-bit that of the stateless Figure-1 loop in
 ``tests/test_core_correlated.py``.
 
+The loop runs in C (``_correlated.c``, built into the package's one
+library by :mod:`repro._clib`), a statement-for-statement port of
+:func:`_sweep_python`. Where that library cannot load, the Python loop
+runs instead and ticks the ``optimize.correlated.fallbacks`` counter;
+both return the same bits. Measured on one 2-vCPU box, Python loop → C:
+the 19 correlated fits of a quick fig3 run 109 → 10 ms, an
+``AutoTuner``-sized window (2 000 samples / 2 000 pairs) 1.15 → 0.11 ms,
+a 200 000-sample store with 2 000 pairs at P99 96 → 2.2 ms, and with
+60 000 pairs 124 → 5.2 ms.
+
 This departs from the paper's O(N log N) orthogonal-range-query structure:
-inserting into a sorted list is an O(m) memmove, so the sweep costs
+inserting into a sorted array is an O(k) memmove, so the sweep costs
 O(N + k**2) for the ``k`` pairs with ``X`` above the fitted tail — those
-are the only ones ever inserted. Measured against an O(log m)-per-probe
-Fenwick-tree sweep (the previous implementation): 10x faster on the fits
-the figures and ``AutoTuner`` make (N = 2 000-8 000, up to 4 400 pairs),
-13x at N = 200 000 with 60 000 pairs at P99 (k = 600), still 1.5x at
-k = 100 000 (200 000 pairs, P50), and slower only beyond that
-(k = 500 000: 49 s against 13 s) — larger than any pair log a caller
+are the only ones ever inserted. At k = 100 000 (200 000 pairs, P50) the
+C loop takes 0.83 s (Python 1.34 s); an O(log m)-per-probe Fenwick-tree
+sweep, this module's earlier form, won only beyond that (k = 500 000:
+13 s against the Python loop's 49 s) — larger than any pair log a caller
 here builds.
 
 The random-access estimator of the conditional CDF that the paper's
@@ -38,7 +46,14 @@ from bisect import bisect_left, insort
 
 import numpy as np
 
-from .optimizer import SingleRFit, discrete_cdf, quantile_higher_sorted
+from .. import _clib
+from ..obs.metrics import get_metrics
+from .optimizer import (
+    SingleRFit,
+    check_fit_inputs,
+    discrete_cdf,
+    quantile_higher_sorted,
+)
 
 
 def compute_optimal_singler_correlated(
@@ -76,23 +91,85 @@ def compute_optimal_singler_correlated(
     )
     pair_x = np.asarray(pair_x, dtype=np.float64)
     pair_y = np.asarray(pair_y, dtype=np.float64)
-    if rx.size == 0:
-        raise ValueError("rx must be non-empty")
+    check_fit_inputs(rx, None, percentile, budget)
     if pair_x.size == 0 or pair_x.ndim != 1 or pair_x.shape != pair_y.shape:
         raise ValueError(
             "pair_x and pair_y must be non-empty 1-D and equal length"
         )
-    if not 0.0 < percentile < 1.0:
-        raise ValueError(f"percentile must be in (0, 1), got {percentile}")
-    if not 0.0 < budget <= 1.0:
-        raise ValueError(f"budget must be in (0, 1], got {budget}")
+    if np.isnan(pair_x).any() or np.isnan(pair_y).any():
+        raise ValueError("pair_x and pair_y must not contain NaN")
 
     n = rx.size
     # Pairs by descending x: the pairs with X > t are a prefix that only
-    # grows as t falls, and ``ys`` holds that prefix's reissue times sorted.
+    # grows as t falls, and the sweep keeps that prefix's reissue times
+    # sorted.
     order = np.argsort(pair_x)[::-1]
-    xs_desc = pair_x[order].tolist()
-    ys_desc = pair_y[order].tolist()
+    xs_desc = pair_x[order]
+    ys_desc = pair_y[order]
+    # Eq. 5: only delays with Pr(X > d) >= B can spend the budget.
+    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
+    try:
+        library = _clib.load()
+    except RuntimeError:
+        get_metrics().counter("optimize.correlated.fallbacks").inc()
+        d_star, t = _sweep_python(
+            rx, xs_desc.tolist(), ys_desc.tolist(), percentile, budget, i_max
+        )
+    else:
+        rx_c = np.ascontiguousarray(rx)  # a presorted memmap: no copy
+        ys_scratch = np.empty(xs_desc.size)
+        out = np.empty(2)
+        library.correlated_sweep(
+            rx_c.ctypes.data,
+            n,
+            xs_desc.ctypes.data,
+            ys_desc.ctypes.data,
+            xs_desc.size,
+            percentile,
+            budget,
+            i_max,
+            ys_scratch.ctypes.data,
+            out.ctypes.data,
+        )
+        d_star, t = float(out[0]), float(out[1])
+
+    # Figure 1 line 13 returns the survival probability 1 - DiscreteCDF(RX,
+    # d*) as q; the budget-consistent q of Eq. 4 is B / Pr(X >= d*).
+    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
+    q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
+    x_above_t = pair_x > t
+    n_above_t = np.count_nonzero(x_above_t)
+    cond = (
+        np.count_nonzero(x_above_t & (pair_y < t - d_star)) / n_above_t
+        if n_above_t
+        else 0.0
+    )
+    p_x_lt_t = discrete_cdf(rx, t)
+    success = p_x_lt_t + q * (1.0 - p_x_lt_t) * cond
+    # Bit-identical to np.quantile(..., method="higher") on sorted data,
+    # without copying a potentially memory-mapped rx.
+    baseline = (
+        quantile_higher_sorted(rx, percentile)
+        if presorted
+        else float(np.quantile(rx, percentile, method="higher"))
+    )
+    return SingleRFit(
+        delay=float(d_star),
+        prob=float(q),
+        predicted_tail=float(t),
+        predicted_success=float(success),
+        baseline_tail=baseline,
+        budget=float(budget),
+        percentile=float(percentile),
+    )
+
+
+def _sweep_python(rx, xs_desc, ys_desc, percentile, budget, i_max):
+    """The Figure-1 sweep loop over sorted ``rx`` and the pairs (as lists)
+    by descending ``x``: returns ``(d*, t)``. ``_correlated.c`` is its
+    statement-for-statement port; this loop runs where that library
+    cannot load."""
+    n = rx.size
     m = len(xs_desc)
     ys: list[float] = []
     above = 0  # |{X > t_next}| == len(ys)
@@ -101,8 +178,6 @@ def compute_optimal_singler_correlated(
     j = n - 1
     d_star = float(rx[0])
     t = float(rx[j])
-    # Eq. 5: only delays with Pr(X > d) >= B can spend the budget.
-    i_max = max(int(np.ceil(n * (1.0 - budget))) - 1, 0)
 
     # Figure 1's inner loop lowers t *before* re-checking the success
     # rate, so its t can finish infeasible (harmless there: it returns
@@ -134,33 +209,4 @@ def compute_optimal_singler_correlated(
             j -= 1
             t = t_next
             d_star = d
-
-    # Figure 1 line 13 returns the survival probability 1 - DiscreteCDF(RX,
-    # d*) as q; the budget-consistent q of Eq. 4 is B / Pr(X >= d*).
-    p_x_ge_d = 1.0 - discrete_cdf(rx, d_star)
-    q = 1.0 if p_x_ge_d <= budget else budget / p_x_ge_d
-    x_above_t = pair_x > t
-    n_above_t = np.count_nonzero(x_above_t)
-    cond = (
-        np.count_nonzero(x_above_t & (pair_y < t - d_star)) / n_above_t
-        if n_above_t
-        else 0.0
-    )
-    p_x_lt_t = discrete_cdf(rx, t)
-    success = p_x_lt_t + q * (1.0 - p_x_lt_t) * cond
-    # Bit-identical to np.quantile(..., method="higher") on sorted data,
-    # without copying a potentially memory-mapped rx.
-    baseline = (
-        quantile_higher_sorted(rx, percentile)
-        if presorted
-        else float(np.quantile(rx, percentile, method="higher"))
-    )
-    return SingleRFit(
-        delay=float(d_star),
-        prob=float(q),
-        predicted_tail=float(t),
-        predicted_success=float(success),
-        baseline_tail=baseline,
-        budget=float(budget),
-        percentile=float(percentile),
-    )
+    return d_star, t

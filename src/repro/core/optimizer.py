@@ -90,17 +90,23 @@ def quantile_higher_sorted(sorted_samples: np.ndarray, p: float) -> float:
 
 
 def check_fit_inputs(
-    rx_sorted: np.ndarray, ry_sorted: np.ndarray, percentile: float, budget: float
+    rx_sorted: np.ndarray,
+    ry_sorted: np.ndarray | None,
+    percentile: float,
+    budget: float,
 ) -> None:
     """Reject what no Figure-1 sweep can fit, in O(1).
 
     ``np.sort`` puts NaN last, so on sorted logs the last element is the
-    only one that needs looking at.
+    only one that needs looking at. ``ry_sorted=None`` checks ``rx``
+    alone (the §4.2 fit reads its reissue times from pairs).
     """
-    if rx_sorted.size == 0 or ry_sorted.size == 0:
-        raise ValueError("rx and ry must be non-empty")
-    if np.isnan(rx_sorted[-1]) or np.isnan(ry_sorted[-1]):
-        raise ValueError("rx and ry must not contain NaN")
+    logs = (rx_sorted,) if ry_sorted is None else (rx_sorted, ry_sorted)
+    names = "rx" if ry_sorted is None else "rx and ry"
+    if any(log.size == 0 for log in logs):
+        raise ValueError(f"{names} must be non-empty")
+    if any(np.isnan(log[-1]) for log in logs):
+        raise ValueError(f"{names} must not contain NaN")
     if not 0.0 < percentile < 1.0:
         raise ValueError(f"percentile must be in (0, 1), got {percentile}")
     if not 0.0 < budget <= 1.0:

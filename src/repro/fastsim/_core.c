@@ -7,7 +7,7 @@
  * tests/test_fastsim_equivalence.py holds both bit for bit to the
  * reference loop.
  *
- * Build flags (repro.fastsim._ccore): -O2 -ffp-contract=off -fPIC -shared.
+ * Build flags (repro._clib): -O2 -ffp-contract=off -fPIC -shared.
  * -ffp-contract=off forbids fused multiply-adds; -ffast-math and -march
  * stay off, so every double operation is the one Python performs, in
  * the same order.

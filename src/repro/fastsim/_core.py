@@ -5,7 +5,7 @@ flat contiguous arrays and scalars — per-server occupancy vectors, a
 pooled linked-list request queue, an array-backed departure heap — with
 no Python containers, attribute lookups, or allocation in the loop body.
 It is the readable twin of ``fastsim/_core.c``, the ``compiled`` kernel
-tier (built and loaded by :mod:`repro.fastsim._ccore`): the C port
+tier (built by :mod:`repro._clib`, called by :mod:`repro.fastsim._ccore`): the C port
 follows this function statement for statement, so a change here is the
 same change there. Run under the interpreter it is the ``interpreted``
 debug tier, and the equivalence suite holds both to the reference loop

@@ -16,7 +16,7 @@ overridable via the ``REPRO_KERNEL`` environment variable or the
   server occupancy, pooled linked-list queues, an array-backed departure
   heap — no Python objects in the loop) as C: ``fastsim/_core.c``, built
   once per machine with the system ``cc`` into ``$XDG_CACHE_HOME/repro/``
-  and loaded with ctypes (:mod:`repro.fastsim._ccore`). Requesting it
+  and loaded with ctypes (:mod:`repro._clib`). Requesting it
   when it cannot load raises with the reason rather than silently
   downgrading. Needs statically dispatchable replications (see below).
 * ``numpy`` — the mandatory pure-Python/NumPy tier: the same pre-drawn
@@ -67,6 +67,7 @@ from ..simulation.queues import (
     PrioritizedLifoQueue,
     make_discipline,
 )
+from .. import _clib
 from . import _ccore, _core
 
 #: Queue modes the kernel specializes (exact class match — subclasses may
@@ -103,9 +104,9 @@ def kernel_info() -> dict:
     """
     return {
         "tiers": list(TIERS),
-        "compiler": _ccore.find_compiler(),
+        "compiler": _clib.find_compiler(),
         "numba_version": None,
-        "default_tier": "compiled" if _ccore.selectable() else "numpy",
+        "default_tier": "compiled" if _clib.selectable() else "numpy",
         "env_override": os.environ.get("REPRO_KERNEL") or None,
     }
 
@@ -130,7 +131,7 @@ def resolve_tier(tier: str | None = None) -> str | None:
         )
     if tier == "compiled":
         try:
-            _ccore.load()
+            _clib.load()
         except RuntimeError as exc:
             raise RuntimeError(
                 f"REPRO_KERNEL=compiled requested but {exc}; install a C "
@@ -186,7 +187,7 @@ def simulate_replication_tiered(
             executed, core = "numpy", None
         elif requested == "interpreted":
             executed, core = "interpreted", _core.simulate_core
-        elif requested == "compiled" or _ccore.available():
+        elif requested == "compiled" or _clib.available():
             # Automatic selection builds the library here, on the first
             # call that needs it; a failed build keeps this process on
             # the numpy tier without trying again.

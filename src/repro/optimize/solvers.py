@@ -254,8 +254,10 @@ def fit_singler_protocol(
 
     This is the one implementation the figure drivers use (through
     :mod:`repro.pipeline.cells` or directly): run the adaptive loop, keep the trial with the best
-    *measured* tail among trials honouring 1.5x the budget, then probe
-    the SingleD ``(d', q=1)`` corner the chain may not have reached.
+    *measured* tail among trials honouring 1.5x the budget (among all
+    trials when none does, which ticks the
+    ``optimize.protocol.overspend_fallbacks`` counter), then probe the
+    SingleD ``(d', q=1)`` corner the chain may not have reached.
 
     The corner's delay is read off the best trial's run, which is under
     a different load; when that overspends past the gate, the delay is
@@ -307,6 +309,9 @@ def fit_singled_protocol(
 def _best_trial(result, budget: float):
     ok = [t for t in result.trials if t.reissue_rate <= 1.5 * budget]
     if not ok:
+        # No trial honours the gate: the best tail among all of them is
+        # kept, and the overspend is counted rather than silent.
+        get_metrics().counter("optimize.protocol.overspend_fallbacks").inc()
         ok = list(result.trials)
     return min(ok, key=lambda t: t.actual_tail)
 

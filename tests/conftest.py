@@ -8,6 +8,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
+from repro import _clib
 from repro.experiments import ExperimentResult, run_experiment
 
 
@@ -22,6 +23,31 @@ def restore_sigpipe():
     before = signal.getsignal(signal.SIGPIPE)
     yield
     signal.signal(signal.SIGPIPE, before)
+
+
+@pytest.fixture
+def no_compiler(monkeypatch, tmp_path):
+    """A process whose compiler lookup finds nothing and which has not
+    loaded the C library yet (restored after the test)."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_clib, "_library", None)
+    monkeypatch.setattr(_clib, "_unavailable", None)
+    monkeypatch.setattr(_clib, "find_compiler", lambda: None)
+
+
+@pytest.fixture
+def failing_compiler(no_compiler, monkeypatch, tmp_path):
+    """As ``no_compiler``, but the lookup finds a compiler that exits 1
+    and appends a line to ``cc.calls`` each time it runs."""
+    cc = tmp_path / "bin" / "cc"
+    cc.parent.mkdir()
+    cc.write_text(
+        "#!/bin/sh\necho call >> \"$0.calls\"\n"
+        "echo 'cc: fatal error: broken' >&2\nexit 1\n"
+    )
+    cc.chmod(0o755)
+    monkeypatch.setattr(_clib, "find_compiler", lambda: str(cc))
+    return cc
 
 
 @pytest.fixture

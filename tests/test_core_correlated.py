@@ -1,4 +1,13 @@
-"""Tests for the correlation-aware optimizer (paper §4.2)."""
+"""Tests for the correlation-aware optimizer (paper §4.2).
+
+The sweep loop runs in the package's C library (``core/_correlated.c``)
+and falls back to its Python twin where that library cannot load; both
+are held bit for bit to a stateless Figure-1 loop, on every caller.
+"""
+
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,12 +15,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.correlated import ConditionalReissueCdf
+from repro import _clib
+from repro.core.adaptive import AdaptiveSingleROptimizer
 from repro.core.correlated import compute_optimal_singler_correlated
+from repro.core.interfaces import RunResult
 from repro.core.optimizer import (
     SingleRFit,
     compute_optimal_singler,
     discrete_cdf,
 )
+from repro.obs import metrics_scope
+from repro.optimize import FitRequest, solve
+from repro.store import EmpiricalStore, TraceWriter
 
 
 def correlated_pairs(n=3000, r=0.5, seed=0):
@@ -193,3 +208,178 @@ def test_property_correlated_fit_invariants(seed, r, budget):
     assert 0.0 <= fit.prob <= 1.0
     assert fit.predicted_tail <= fit.baseline_tail + 1e-9
     assert 0.0 <= fit.predicted_success <= 1.0
+
+
+def python_loop(fit, *args, **kwargs):
+    """``fit(*args, **kwargs)`` with the C library unloadable, so the
+    sweep runs its Python loop; returns the result and the number of
+    fallbacks counted."""
+    failed = RuntimeError("the repro C library is unavailable (patched)")
+    with metrics_scope() as registry, mock.patch.object(
+        _clib, "load", side_effect=failed
+    ):
+        result = fit(*args, **kwargs)
+    return result, fallbacks(registry)
+
+
+def fallbacks(registry) -> int:
+    counter = registry.get("optimize.correlated.fallbacks")
+    return 0 if counter is None else counter.value
+
+
+@st.composite
+def sweep_logs(draw):
+    """Tie-heavy logs at the objectives the callers fit."""
+    rx, pair_x, pair_y, _, _ = draw(tied_logs())
+    percentile = draw(st.sampled_from([0.5, 0.9, 0.99, 0.999]))
+    budget = draw(st.sampled_from([0.001, 0.05, 0.5, 1.0]))
+    return rx, pair_x, pair_y, percentile, budget
+
+
+@settings(max_examples=120, deadline=None)
+@given(sweep_logs(), st.booleans())
+def test_property_c_sweep_equals_python_loop_and_oracle(logs, mapped):
+    rx, pair_x, pair_y, percentile, budget = logs
+    expected = figure1_random_access(rx, pair_x, pair_y, percentile, budget)
+    with tempfile.TemporaryDirectory() as tmp:
+        if mapped:  # the store path: a sorted read-only map, presorted
+            path = Path(tmp) / "rx.npy"
+            np.save(path, np.sort(rx))
+            rx_in, kwargs = np.load(path, mmap_mode="r"), {"presorted": True}
+        else:
+            rx_in, kwargs = rx, {}
+        args = (rx_in, pair_x, pair_y, percentile, budget)
+        compiled = compute_optimal_singler_correlated(*args, **kwargs)
+        loop, counted = python_loop(
+            compute_optimal_singler_correlated, *args, **kwargs
+        )
+        del rx_in
+    assert compiled == expected
+    assert loop == expected
+    assert counted == 1
+
+
+def test_without_compiler_runs_the_python_loop_and_counts_it(request):
+    x, y = correlated_pairs(3000, r=0.5, seed=7)
+    with metrics_scope() as registry:
+        compiled = compute_optimal_singler_correlated(x, x, y, 0.99, 0.05)
+        assert fallbacks(registry) == 0
+        request.getfixturevalue("no_compiler")
+        for expected_count in (1, 2):
+            fit = compute_optimal_singler_correlated(x, x, y, 0.99, 0.05)
+            assert fit == compiled
+            assert fallbacks(registry) == expected_count
+    assert "`cc` is not on PATH" in _clib._unavailable
+
+
+def probe_run(n=4000, m=900, seed=3):
+    rng = np.random.default_rng(seed)
+    primary = rng.lognormal(1.0, 0.7, n)
+    pair_x = rng.choice(primary, m)
+    pair_y = 0.6 * pair_x + rng.lognormal(0.5, 0.5, m)
+    return RunResult(
+        latencies=primary,
+        primary_response_times=primary,
+        reissue_pair_x=pair_x,
+        reissue_pair_y=pair_y,
+        reissue_rate=m / n,
+    )
+
+
+def store_of(tmp_path, samples):
+    path = tmp_path / "primary.store"
+    with TraceWriter(path, sorted=True) as writer:
+        writer.append(np.sort(samples))
+    return EmpiricalStore(path)
+
+
+class TestEveryCaller:
+    """The C sweep's fit is ``==`` the Python loop's on every caller."""
+
+    def test_adaptive_fit_from_run(self):
+        run = probe_run()
+        optimizer = AdaptiveSingleROptimizer(percentile=0.99, budget=0.05)
+        compiled = optimizer.fit_from_run(run)
+        loop, counted = python_loop(optimizer.fit_from_run, run)
+        assert compiled == loop and counted == 1
+
+    @pytest.mark.parametrize("solver", ["correlated", "online"])
+    def test_solvers(self, solver):
+        run = probe_run()
+        request = FitRequest(
+            rx=run.primary_response_times,
+            pair_x=run.reissue_pair_x,
+            pair_y=run.reissue_pair_y,
+            percentile=0.99,
+            budget=0.05,
+        )
+        compiled = solve(request, solver)
+        loop, counted = python_loop(solve, request, solver)
+        assert compiled.fit == loop.fit and counted == 1
+        if solver == "online":
+            assert compiled.meta["mode"] == "correlated"
+
+    def test_store_backed_solver(self, tmp_path):
+        run = probe_run()
+        store = store_of(tmp_path, run.primary_response_times)
+        try:
+            request = FitRequest(
+                rx=store,
+                pair_x=run.reissue_pair_x,
+                pair_y=run.reissue_pair_y,
+                percentile=0.99,
+                budget=0.05,
+            )
+            compiled = solve(request, "correlated")
+            loop, counted = python_loop(solve, request, "correlated")
+        finally:
+            store.close()
+        assert compiled.meta["store"] is True
+        assert compiled.fit == loop.fit and counted == 1
+
+
+class TestNaNIsRejected:
+    """A NaN anywhere in the logs is an error, as for the empirical
+    fitter, never a fit with a NaN baseline or a biased ``cond``."""
+
+    @staticmethod
+    def logs(n=200, m=120):
+        rng = np.random.default_rng(11)
+        rx = rng.lognormal(1.0, 0.5, n)
+        pair_x = rng.choice(rx, m)
+        return rx, pair_x, pair_x + rng.lognormal(0.0, 0.5, m)
+
+    @pytest.mark.parametrize("solver", ["correlated", "online", "empirical"])
+    def test_nan_in_rx(self, solver):
+        rx, pair_x, pair_y = self.logs()
+        rx[17] = np.nan
+        request = FitRequest(
+            rx=rx, pair_x=pair_x, pair_y=pair_y, percentile=0.9, budget=0.1
+        )
+        with pytest.raises(ValueError, match="must not contain NaN"):
+            solve(request, solver)
+
+    def test_nan_in_presorted_mapped_rx(self, tmp_path):
+        # The store refuses non-finite blocks at open; a presorted map
+        # handed in directly must be refused by the fitter itself.
+        rx, pair_x, pair_y = self.logs()
+        rx[17] = np.nan
+        np.save(tmp_path / "rx.npy", np.sort(rx))
+        mapped = np.load(tmp_path / "rx.npy", mmap_mode="r")
+        with pytest.raises(ValueError, match="rx must not contain NaN"):
+            compute_optimal_singler_correlated(
+                mapped, pair_x, pair_y, 0.9, 0.1, presorted=True
+            )
+
+    @pytest.mark.parametrize("which", ["pair_x", "pair_y"])
+    @pytest.mark.parametrize("solver", ["correlated", "online"])
+    def test_nan_in_pairs(self, which, solver):
+        rx, pair_x, pair_y = self.logs()
+        {"pair_x": pair_x, "pair_y": pair_y}[which][5] = np.nan
+        request = FitRequest(
+            rx=rx, pair_x=pair_x, pair_y=pair_y, percentile=0.9, budget=0.1
+        )
+        with pytest.raises(
+            ValueError, match="pair_x and pair_y must not contain NaN"
+        ):
+            solve(request, solver)

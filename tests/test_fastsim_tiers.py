@@ -15,7 +15,8 @@ Four contracts:
   is bit-for-bit equal to ``simulate_cluster_reference`` (the directed
   matrix lives in ``test_fastsim_equivalence.py``).
 * **No compiler** — with the compiler lookup patched to find nothing,
-  or to a compiler that fails, everything runs on ``numpy``; the build
+  or to a compiler that fails (the ``no_compiler`` / ``failing_compiler``
+  fixtures in ``conftest.py``), everything runs on ``numpy``; the build
   cache itself is tested in ``test_fastsim_ccore.py``.
 """
 
@@ -26,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import _clib
 from repro.core.policies import (
     ImmediateReissue,
     MultipleR,
@@ -44,7 +46,6 @@ from repro.fastsim import (
     simulate_replication_tiered,
     tier_counts,
 )
-from repro.fastsim import _ccore
 from repro.obs import get_metrics, metrics_scope, tracing
 from repro.scenarios import Session
 from repro.simulation.arrivals import PoissonArrivals
@@ -82,31 +83,6 @@ def assert_bitwise_equal(a, b):
 
 
 TESTABLE_TIERS = ("compiled", "numpy", "interpreted")
-
-
-@pytest.fixture
-def no_compiler(monkeypatch, tmp_path):
-    """A process whose compiler lookup finds nothing and which has not
-    loaded the library yet (restored after the test)."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    monkeypatch.setattr(_ccore, "_function", None)
-    monkeypatch.setattr(_ccore, "_unavailable", None)
-    monkeypatch.setattr(_ccore, "find_compiler", lambda: None)
-
-
-@pytest.fixture
-def failing_compiler(no_compiler, monkeypatch, tmp_path):
-    """As ``no_compiler``, but the lookup finds a compiler that exits 1
-    and appends a line to ``cc.calls`` each time it runs."""
-    cc = tmp_path / "bin" / "cc"
-    cc.parent.mkdir()
-    cc.write_text(
-        "#!/bin/sh\necho call >> \"$0.calls\"\n"
-        "echo 'cc: fatal error: broken' >&2\nexit 1\n"
-    )
-    cc.chmod(0o755)
-    monkeypatch.setattr(_ccore, "find_compiler", lambda: str(cc))
-    return cc
 
 
 class TestSelection:
@@ -190,7 +166,7 @@ class TestSelection:
     def test_kernel_info_with_compiler(self):
         info = kernel_info()
         assert info["compiler"] is not None
-        assert info["compiler"] == _ccore.find_compiler()
+        assert info["compiler"] == _clib.find_compiler()
         assert info["default_tier"] == "compiled"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oracles.singled import compute_optimal_singled
+from repro.core.adaptive import AdaptiveResult, AdaptiveTrial
 from repro.core.budget_search import find_optimal_budget
 from repro.core.correlated import compute_optimal_singler_correlated
 from repro.core.online import OnlinePolicyController
@@ -18,6 +19,7 @@ from repro.distributions import Pareto
 from repro.distributions.base import as_rng
 from repro.fastsim import ReplicationSpec, simulate_batch
 from repro.main import main
+from repro.obs import metrics_scope
 from repro.optimize import (
     FitRequest,
     SOLVERS,
@@ -25,6 +27,7 @@ from repro.optimize import (
     solve,
     solver_names,
 )
+from repro.optimize.solvers import _best_trial
 from repro.scenarios.registry import build_system
 
 
@@ -268,6 +271,34 @@ class TestSimulatedSolver:
             for b in budgets
         ]
         assert list(result.policies) == serial
+
+
+class TestBestTrial:
+    """The protocol keeps the best measured tail among trials within
+    1.5x the budget; when none is, it keeps the best of all of them and
+    counts the overspend."""
+
+    @staticmethod
+    def result(rates_and_tails):
+        trials = [
+            AdaptiveTrial(k, SingleR(float(k), 0.5), 0.0, tail, rate, 0.0)
+            for k, (rate, tail) in enumerate(rates_and_tails)
+        ]
+        return AdaptiveResult(policy=trials[-1].policy, trials=trials)
+
+    def test_all_trials_overspend(self):
+        result = self.result([(0.20, 9.0), (0.16, 7.0), (0.30, 8.0)])
+        with metrics_scope() as registry:
+            best = _best_trial(result, 0.1)
+        assert best is result.trials[1]
+        assert registry.get("optimize.protocol.overspend_fallbacks").value == 1
+
+    def test_a_trial_within_the_gate_is_not_counted(self):
+        result = self.result([(0.20, 5.0), (0.15, 7.0), (0.30, 8.0)])
+        with metrics_scope() as registry:
+            best = _best_trial(result, 0.1)
+        assert best is result.trials[1]  # 0.15 <= 1.5 x 0.1, worse tail
+        assert registry.get("optimize.protocol.overspend_fallbacks") is None
 
 
 class TestBatchConfig:
